@@ -131,10 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _model_params(args, *, alpha=None) -> ModelParams:
-    n = getattr(args, "n", None)
+    n = args.n
     lam = getattr(args, "lam", None)
     if (n is None) == (lam is None):
-        raise SystemExit(_usage_error("exactly one of --n and --lambda is required"))
+        # sim-depth has no --lambda flag
+        need = "exactly one of --n and --lambda is" if hasattr(args, "lam") else "--n is"
+        raise SystemExit(_usage_error(f"{need} required"))
     return ModelParams(p=args.p, alpha=alpha if alpha is not None else args.alpha,
                        n=n, lam=lam)
 
@@ -217,7 +219,7 @@ def _cmd_sim_fillup(args, out):
 
 
 def _cmd_sim_depth(args, out):
-    params = ModelParams(p=args.p, alpha=args.alpha, n=args.n)
+    params = _model_params(args)
     config = ExperimentConfig(params=params, trials=args.trials, seed=args.seed,
                               jobs=args.jobs)
     summary = simulate_depth(config)

@@ -20,7 +20,7 @@ from .trie import (
     DepthCapError,
     IndistinguishableKeysError,
     _pack_codes,
-    shared_prefix_counts,
+    _shared_prefix_codes,
 )
 
 __all__ = [
@@ -81,15 +81,31 @@ class StructureStats:
     max_depth: int
 
 
-def _group_fillup(keys: KeySet, ids: np.ndarray, base: int, alpha: float) -> int:
-    """Alpha-fillup level of the subtrie spanned by `ids` at bit offset `base`."""
-    counts = shared_prefix_counts(keys, ids, base=base, stop_below=alpha)
+def _group_fillup(keys: KeySet, ids: np.ndarray, base: int, alpha: float):
+    """Alpha-fillup level of the subtrie spanned by `ids` at bit offset `base`,
+    with the codes and width trie._shared_prefix_codes read to find it."""
+    counts, codes, width = _shared_prefix_codes(keys, ids, base=base,
+                                                stop_below=alpha)
     level = 0
     for k in range(1, len(counts)):
         if counts[k] * 2.0**-k < alpha:
             break
         level = k
-    return level
+    return level, codes, width
+
+
+def _slot_codes(keys, ids, base, consumed, codes, width) -> np.ndarray:
+    """Each key's slot in a node consuming levels base .. base+consumed-1:
+    the top bits of the fillup codes when they reach that far, else read."""
+    if codes is not None and consumed <= width:
+        return codes >> np.uint64(width - consumed)
+    try:
+        return _pack_codes(keys.bit_block(ids, base, consumed))
+    except KeyExhaustedError as exc:
+        raise IndistinguishableKeysError(
+            f"key {exc.key_id} is too short to address a slot spanning levels "
+            f"{base}..{base + consumed - 1}"
+        ) from exc
 
 
 def compress(keys: KeySet, alpha: float,
@@ -114,19 +130,13 @@ def compress(keys: KeySet, alpha: float,
 
 
 def _compress_group(keys, ids, base, alpha, depth_cap):
-    fillup = _group_fillup(keys, ids, base, alpha)
+    fillup, codes, width = _group_fillup(keys, ids, base, alpha)
     consumed = fillup + 1
     if base + consumed > depth_cap:
         raise DepthCapError(
             f"compression exceeded depth cap {depth_cap} at level {base}"
         )
-    try:
-        codes = _pack_codes(keys.bit_block(ids, base, consumed))
-    except KeyExhaustedError as exc:
-        raise IndistinguishableKeysError(
-            f"key {exc.key_id} is too short to address a slot spanning levels "
-            f"{base}..{base + consumed - 1}"
-        ) from exc
+    codes = _slot_codes(keys, ids, base, consumed, codes, width)
     children: list = [None] * (1 << consumed)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -161,7 +171,11 @@ def depth(alc: AlcTrie, key_id: int) -> DepthSample:
         level += node.consumed
         steps += 1
         node = node.children[slot]
-    assert node == key_id, "key bits did not lead to the key's own slot"
+    if node != key_id:
+        raise RuntimeError(
+            f"key {key_id}'s bits lead to {node!r} at level {level}, not to its "
+            f"own slot; the trie does not belong to this key set"
+        )
     return DepthSample(key_id=key_id, depth=steps, consumed_total=level)
 
 
@@ -179,22 +193,16 @@ def designated_depth(keys: KeySet, alpha: float, key_id: int = 0,
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     ids = np.arange(n, dtype=np.int64)
-    own = np.array([key_id], dtype=np.int64)
     level = 0
     steps = 0
     while len(ids) > 1:
-        fillup = _group_fillup(keys, ids, level, alpha)
+        fillup, codes, width = _group_fillup(keys, ids, level, alpha)
         consumed = fillup + 1
         if level + consumed > depth_cap:
             raise DepthCapError(f"depth walk exceeded depth cap {depth_cap}")
-        try:
-            codes = _pack_codes(keys.bit_block(ids, level, consumed))
-        except KeyExhaustedError as exc:
-            raise IndistinguishableKeysError(
-                f"key {exc.key_id} is too short to address a slot spanning "
-                f"levels {level}..{level + consumed - 1}"
-            ) from exc
-        own_code = _pack_codes(keys.bit_block(own, level, consumed))[0]
+        codes = _slot_codes(keys, ids, level, consumed, codes, width)
+        # ids stays ascending, so the key's own row is found by bisection
+        own_code = codes[np.searchsorted(ids, key_id)]
         ids = ids[codes == own_code]
         level += consumed
         steps += 1

@@ -37,6 +37,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 MAX_KEYS = 1 << 32       # key ids and bit indices are packed into one 64-bit word
 MAX_BIT_INDEX = 1 << 32
+_HASH_CHUNK = 1 << 16    # words hashed per band by bit_block, to stay in cache
 
 
 class KeyFileError(ValueError):
@@ -74,14 +75,18 @@ def _fmix64_scalar(x: int) -> int:
     return x
 
 
-def _fmix64(x: np.ndarray) -> np.ndarray:
-    # vectorized copy of _fmix64_scalar; uint64 arithmetic wraps mod 2**64
-    x = x ^ (x >> _U64(33))
+def _fmix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Vectorized _fmix64_scalar, written into x; tmp is scratch of x's shape.
+    uint64 arithmetic wraps mod 2**64."""
+    u33 = _U64(33)
+    np.right_shift(x, u33, out=tmp)
+    x ^= tmp
     x *= _U64(_FMIX_C1)
-    x ^= x >> _U64(33)
+    np.right_shift(x, u33, out=tmp)
+    x ^= tmp
     x *= _U64(_FMIX_C2)
-    x ^= x >> _U64(33)
-    return x
+    np.right_shift(x, u33, out=tmp)
+    x ^= tmp
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,18 @@ class Key:
         return self.keyset.key_length(self.id)
 
     def bit(self, i: int) -> int:
-        return int(
-            self.keyset.bit_block(np.array([self.id], dtype=np.int64), i, 1)[0, 0]
-        )
+        keyset = self.keyset
+        if keyset._lengths is None and 0 <= i < MAX_BIT_INDEX:
+            return keyset._random_bit(int(self.id), int(i))
+        return int(keyset.bit_block(np.array([self.id], dtype=np.int64), i, 1)[0, 0])
 
     def prefix(self, k: int) -> tuple[int, ...]:
         """First k bits as a tuple."""
-        block = self.keyset.bit_block(np.array([self.id], dtype=np.int64), 0, k)
+        keyset = self.keyset
+        if keyset._lengths is None and 0 <= k <= MAX_BIT_INDEX:
+            key_id = int(self.id)
+            return tuple(keyset._random_bit(key_id, i) for i in range(int(k)))
+        block = keyset.bit_block(np.array([self.id], dtype=np.int64), 0, k)
         return tuple(int(b) for b in block[0])
 
     def __repr__(self):
@@ -154,8 +164,12 @@ class KeySet:
         self.origin = origin
         if params is not None:
             # fold the seed into two whitening words used by the bit hash
-            self._s1 = _U64(_fmix64_scalar(params.seed ^ _GOLDEN))
-            self._s2 = _U64(_fmix64_scalar(params.seed + _GOLDEN))
+            self._s1 = _fmix64_scalar(params.seed ^ _GOLDEN)
+            self._s2 = _fmix64_scalar(params.seed + _GOLDEN)
+            # a bit is 1 iff (h >> 11) * 2**-53 < p for its 64-bit hash h;
+            # both sides are exact in float64, so this is h >> 11 < ceil(p * 2**53),
+            # or h < ceil(p * 2**53) << 11 (below 2**64, as p < 1)
+            self._cut = math.ceil(params.p * 2.0**53) << 11
 
     # -- constructors -------------------------------------------------------
 
@@ -239,12 +253,30 @@ class KeySet:
             return self._finite_bits[ids, start:end]
         if start + width > MAX_BIT_INDEX:
             raise ValueError("bit index out of supported range")
+        # id and index fill disjoint halves of the word, so (id << 32 | index) ^ s1
+        # is ((id << 32) ^ s1) ^ index: one pass builds the whitened words
+        rows = (ids.astype(np.uint64) << _U64(32)) ^ _U64(self._s1)
         cols = np.arange(start, start + width, dtype=np.uint64)
-        z = (ids.astype(np.uint64)[:, None] << _U64(32)) | cols[None, :]
-        h = _fmix64(z ^ self._s1)
-        h = _fmix64(h ^ self._s2)
-        u = (h >> _U64(11)).astype(np.float64) * 2.0**-53
-        return (u < self.params.p).astype(np.uint8)
+        s2, cut = _U64(self._s2), _U64(self._cut)
+        out = np.empty((len(ids), width), dtype=bool)
+        # hash a cache-sized band of rows at a time, in two reused buffers
+        step = max(1, _HASH_CHUNK // width)
+        h = np.empty((min(step, len(ids)), width), dtype=np.uint64)
+        tmp = np.empty_like(h)
+        for a in range(0, len(ids), step):
+            band = rows[a:a + step]
+            hb, tb = h[:len(band)], tmp[:len(band)]
+            np.bitwise_xor(band[:, None], cols[None, :], out=hb)
+            _fmix64_inplace(hb, tb)
+            hb ^= s2
+            _fmix64_inplace(hb, tb)
+            np.less(hb, cut, out=out[a:a + step])
+        return out.view(np.uint8)
+
+    def _random_bit(self, key_id: int, i: int) -> int:
+        """Bit i of random key key_id: the bit_block hash on Python ints."""
+        h = _fmix64_scalar(((key_id << 32) | i) ^ self._s1)
+        return int(_fmix64_scalar(h ^ self._s2) < self._cut)
 
     def bit_column(self, ids: np.ndarray, level: int) -> np.ndarray:
         return self.bit_block(ids, level, 1)[:, 0]

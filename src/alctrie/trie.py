@@ -241,12 +241,23 @@ def shared_prefix_counts(
     drops below stop_below, or at level `upto`.  Vectorized over packed
     prefix codes; used by the simulation paths and by level compression.
     """
+    return _shared_prefix_codes(keys, ids, base, stop_below, upto)[0]
+
+
+def _shared_prefix_codes(keys, ids=None, base=0, stop_below=None, upto=None):
+    """shared_prefix_counts plus the bits it read: (counts, codes, width).
+
+    codes[j] packs bits base .. base+width-1 of key ids[j], MSB first, in the
+    order of ids.  The codes widen 8, 16, 32, 64 bits as the counts need, and
+    each widening hashes only the new columns.  Finite keys are tabulated per
+    level instead and give codes None.
+    """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
     m = len(ids)
     counts: list[int] = []
     if m < 2:
-        return counts
+        return counts, None, 0
 
     def done_at(k: int, x: int) -> bool:
         if x == 0:
@@ -257,23 +268,26 @@ def shared_prefix_counts(
 
     counts.append(1)  # level 0: the empty prefix, shared by the whole group
     if done_at(0, 1):
-        return _trimmed(counts)
+        return _trimmed(counts), None, 0
+    if not keys.is_random:
+        # finite keys may be shorter than the packing width; fall back to
+        # exact per-level tabulation with early unique-key retirement
+        return _shared_counts_finite(keys, ids, base, counts, done_at), None, 0
 
     width = 8
+    codes = _pack_codes(keys.bit_block(ids, base, width))
     while True:
-        if not keys.is_random:
-            # finite keys may be shorter than the packing width; fall back to
-            # exact per-level tabulation with early unique-key retirement
-            return _shared_counts_finite(keys, ids, base, counts, done_at)
-        codes = np.sort(_pack_codes(keys.bit_block(ids, base, width)))
+        ordered = np.sort(codes)
         for k in range(len(counts), width + 1):
-            x = _dup_run_count(codes >> np.uint64(width - k))
+            x = _dup_run_count(ordered >> np.uint64(width - k))
             counts.append(x)
             if done_at(k, x):
-                return _trimmed(counts)
+                return _trimmed(counts), codes, width
         if width == 64:
-            return _shared_counts_finite(keys, ids, base, counts, done_at)
-        width = min(width * 2, 64)
+            return _shared_counts_finite(keys, ids, base, counts, done_at), codes, width
+        codes <<= np.uint64(width)
+        codes |= _pack_codes(keys.bit_block(ids, base + width, width))
+        width *= 2
 
 
 def _trimmed(counts: list[int]) -> list[int]:

@@ -116,6 +116,18 @@ def test_jobs_do_not_change_output(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("p, alpha", [(0.5, 0.25), (0.7, 0.5), (0.9, 0.75)])
+def test_jobs_do_not_change_output_with_widened_codes(capsys, p, alpha):
+    # 1024 keys: at small alpha the root's fillup counting widens past 8 bits
+    for command in ("sim-depth", "sim-fillup"):
+        base = (command, "--n", "1024", "--p", str(p), "--alpha", str(alpha),
+                "--trials", "6", "--seed", "21")
+        code, serial, _ = run_cli(capsys, *base, "--jobs", "1")
+        assert code == 0
+        _, parallel, _ = run_cli(capsys, *base, "--jobs", "2")
+        assert serial == parallel
+
+
 def test_format_changes_encoding_not_values(capsys):
     base = ("sim-fillup", "--n", "32", "--p", "0.7", "--alpha", "0.5",
             "--trials", "5", "--seed", "11", "--jobs", "1")
@@ -138,6 +150,15 @@ def test_usage_error_exits_two(capsys):
         main(["predict", "--n", "100", "--lambda", "100", "--p", "0.7",
               "--alpha", "0.5"])
     assert err.value.code == 2
+
+
+def test_sim_depth_without_n_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sim-depth", "--p", "0.7", "--alpha", "0.5"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("usage error: --n is required")
+    assert "--lambda" not in message
 
 
 def test_runtime_error_exits_one(tmp_path, capsys):

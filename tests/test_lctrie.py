@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from alctrie.lctrie import (
     AlcNode,
+    AlcTrie,
     _group_fillup,
     compress,
     depth,
@@ -15,7 +16,12 @@ from alctrie.lctrie import (
     structure_stats,
 )
 from alctrie.source import KeySet, SourceParams, generate_keys
-from alctrie.trie import IndistinguishableKeysError, build, external_depth
+from alctrie.trie import (
+    IndistinguishableKeysError,
+    _shared_prefix_codes,
+    build,
+    external_depth,
+)
 
 from conftest import (
     finite_from_random,
@@ -138,7 +144,8 @@ def test_root_fillup_monotone_in_alpha():
     for seed in (1, 2, 3, 4, 5):
         ks = generate_keys(SourceParams(0.7, seed), 256)
         ids = np.arange(256)
-        levels = [_group_fillup(ks, ids, 0, a) for a in (0.1, 0.25, 0.5, 0.75, 1.0)]
+        levels = [_group_fillup(ks, ids, 0, a)[0]
+                  for a in (0.1, 0.25, 0.5, 0.75, 1.0)]
         assert levels == sorted(levels, reverse=True)
 
 
@@ -259,3 +266,49 @@ def test_depth_sample_fields():
     assert sample.key_id == 7
     assert sample.depth >= 1
     assert sample.consumed_total >= sample.depth
+
+
+# -- groups whose fillup counting widens its packed codes past 8 bits --------
+
+WIDE_N = 2**12
+# (p, alpha) whose compression of WIDE_N keys at seed 4242 widens some group's
+# codes; at p = 0.9 with alpha >= 0.5, and at p = 0.7 with alpha = 1, no group
+# of that size fills 8 levels, so those cases check the 8-bit path
+WIDENS = {(0.5, 0.25), (0.5, 0.5), (0.5, 1.0), (0.7, 0.25), (0.7, 0.5),
+          (0.9, 0.25)}
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_widened_codes_give_reference_structure_and_depths(p, alpha, monkeypatch):
+    widths = []
+
+    def recording(*args, **kwargs):
+        result = _shared_prefix_codes(*args, **kwargs)
+        widths.append(result[2])
+        return result
+
+    monkeypatch.setattr("alctrie.lctrie._shared_prefix_codes", recording)
+    ks, _, tuples = finite_from_random(p, 4242, WIDE_N, width=256)
+    alc = compress(ks, alpha)
+    assert (max(widths) > 8) == ((p, alpha) in WIDENS)
+    assert same_structure(alc.root, ref_compress(list(enumerate(tuples)), alpha))
+    for k in (0, 1, 517, WIDE_N - 1):
+        assert designated_depth(ks, alpha, k) == depth(alc, k)
+
+
+def test_widening_happens_at_the_root():
+    # the root's fillup counting of 1024 keys at p = 0.5 runs past 8 bits
+    ks = generate_keys(SourceParams(0.5, 4242), 2**10)
+    ids = np.arange(2**10)
+    fillup, _, width = _group_fillup(ks, ids, 0, 0.25)
+    assert fillup >= 8 and width > 8
+
+
+def test_depth_raises_when_keys_do_not_match_the_trie():
+    # a structure built over one key set, walked with another set's bits
+    alc = compress(generate_keys(SourceParams(0.5, 1), 64), 0.5)
+    other = AlcTrie(keyset=generate_keys(SourceParams(0.5, 2), 64), alpha=0.5,
+                    root=alc.root)
+    with pytest.raises(RuntimeError, match=r"^key 5's bits lead to .* at level \d+"):
+        depth(other, 5)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alctrie.source import (
     DuplicateKeyError,
@@ -174,3 +175,114 @@ def test_bit_values_are_pure_functions():
     other = generate_keys(p, 10)
     idx = np.array([9, 2, 4])
     assert (one.bit_block(idx, 13, 5) == other.bit_block(idx, 13, 5)).all()
+
+
+# -- the bit stream, pinned -------------------------------------------------
+#
+# Bits of random keys at seed 20240601, recorded from the float-comparison
+# kernel this package shipped with.  For each p: the bits at indices
+# PINNED_INDICES of each key in PINNED_IDS, then bits 0..127 of each key as
+# one hex word, MSB first.
+
+PINNED_SEED = 20240601
+PINNED_IDS = (0, 1, 4096, 2**32 - 2)
+PINNED_INDICES = (0, 63, 64, 65, 2**32 - 1)
+PINNED_BITS = {
+    0.1: (("00010", "00000", "00000", "00000"),
+          (0x100010011000004028400000064580, 0x2840400008800000000042440000044,
+           0x800040000001402000048034002000, 0x2000082008400100000204004800001)),
+    0.5: (("10110", "01001", "01001", "00111"),
+          (0xf1b353b437748d84c82a4e14838645b9, 0x3b717739add7e353e87f535793f216f,
+           0x91686f1dbd2bc130b3edfdbd30efaa, 0x2f8468a631c55cf0cdc7f452a5e910bf)),
+    0.7: (("10111", "11101", "11001", "01111"),
+          (0xf5fb53b63f7d8f96fa2b4eb4a38e45f9, 0x87f7d7739efd7e3dbe9ff53d7bff656f,
+           0x93fbfbffddfd3fc936b3fffdfffaefbe, 0x2fd56cff39d5dcf1cfe7fc5fa5efdabf)),
+    0.9: (("10111", "11111", "11111", "01111"),
+          (0xfffff7fffffffff6fbffdfbffbfe7fff, 0xcff7fffbdfffffbdff9ff77d7fffe57f,
+           0xb3fbffffffffbffffffffffffffbfffe, 0x7ff77fff79fffef3fffffdffffffffff)),
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_BITS))
+def test_bit_stream_is_pinned(p):
+    ks = generate_keys(SourceParams(p, PINNED_SEED), 2**32 - 1)
+    singles, words = PINNED_BITS[p]
+    ids = np.array(PINNED_IDS, dtype=np.int64)
+    for row, kid in enumerate(PINNED_IDS):
+        want = [int(c) for c in singles[row]]
+        assert [ks[kid].bit(i) for i in PINNED_INDICES] == want
+        assert [int(ks.bit_block(ids, i, 1)[row, 0]) for i in PINNED_INDICES] == want
+    block = ks.bit_block(ids, 0, 128)
+    for row, word in enumerate(words):
+        want = [(word >> (127 - j)) & 1 for j in range(128)]
+        assert block[row].tolist() == want
+        assert list(ks[PINNED_IDS[row]].prefix(128)) == want
+
+
+# A pure-Python statement of the bit hash: two rounds of the Murmur3 64-bit
+# finalizer over (key id << 32 | bit index), whitened by two seed words, and a
+# float comparison of the top 53 hash bits with p.
+
+_M64 = (1 << 64) - 1
+_GOLDEN_RATIO_64 = 0x9E3779B97F4A7C15
+
+
+def _ref_fmix(x):
+    x ^= x >> 33
+    x = (x * 0xFF51AFD7ED558CCD) & _M64
+    x ^= x >> 33
+    x = (x * 0xC4CEB9FE1A85EC53) & _M64
+    return x ^ (x >> 33)
+
+
+def _ref_hash(seed, key_id, index):
+    s1 = _ref_fmix((seed ^ _GOLDEN_RATIO_64) & _M64)
+    s2 = _ref_fmix((seed + _GOLDEN_RATIO_64) & _M64)
+    return _ref_fmix(_ref_fmix(((key_id << 32) | index) ^ s1) ^ s2)
+
+
+def _ref_bit(p, seed, key_id, index):
+    return int((_ref_hash(seed, key_id, index) >> 11) * 2.0**-53 < p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    key_id=st.integers(min_value=0, max_value=2**32 - 2),
+    index=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_scalar_bulk_and_reference_bits_agree(p, seed, key_id, index):
+    ks = generate_keys(SourceParams(p, seed), key_id + 1)
+    want = _ref_bit(p, seed, key_id, index)
+    assert ks[key_id].bit(index) == want
+    assert int(ks.bit_block(np.array([key_id]), index, 1)[0, 0]) == want
+
+
+def test_prefix_agrees_with_bulk_bits_at_every_length():
+    # prefixes of random keys are hashed on Python ints, blocks by numpy
+    ks = generate_keys(SourceParams(0.6, 2718), 5)
+    block = ks.bit_block(np.arange(5), 0, 80)
+    for k in (0, 1, 31, 32, 33, 64, 80):
+        for kid in range(5):
+            assert ks[kid].prefix(k) == tuple(block[kid, :k].tolist())
+
+
+def test_bit_threshold_is_exact():
+    # p sitting exactly on a bit's scaled hash gives 0; the next float up gives 1
+    seed = 77
+    for key_id, index in ((0, 0), (5, 64), (123, 2**32 - 1)):
+        top = _ref_hash(seed, key_id, index) >> 11
+        on = top * 2.0**-53
+        for p, want in ((on, 0), (math.nextafter(on, 1.0), 1)):
+            ks = generate_keys(SourceParams(p, seed), key_id + 1)
+            assert ks[key_id].bit(index) == want
+            assert int(ks.bit_block(np.array([key_id]), index, 1)[0, 0]) == want
+
+
+def test_out_of_range_bit_index_rejected():
+    ks = generate_keys(SourceParams(0.5, 1), 2)
+    with pytest.raises(ValueError):
+        ks[0].bit(2**32)
+    with pytest.raises(ValueError):
+        ks.bit_block(np.array([0]), 2**32 - 1, 2)

@@ -8,6 +8,8 @@ from alctrie.trie import (
     IndistinguishableKeysError,
     LevelProfile,
     UndefinedFillupError,
+    _pack_codes,
+    _shared_prefix_codes,
     alpha_fillup_level,
     build,
     count_filled_oracle,
@@ -196,3 +198,14 @@ def test_profile_csv_rows():
     prof = level_profile(build(keys_from("00", "01", "10", "11")))
     rows = list(prof.csv_rows())
     assert rows == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
+@pytest.mark.parametrize("p, base", [(0.5, 0), (0.7, 3), (0.9, 40)])
+def test_widened_codes_are_the_packed_bits(p, base):
+    # each widening shifts new columns into the codes; the result must be the
+    # bits base .. base+width-1 packed in one go, in the order of ids
+    ks = generate_keys(SourceParams(p, 31), 2**10)
+    ids = np.arange(2**10)[::-1].copy()
+    _, codes, width = _shared_prefix_codes(ks, ids, base=base)
+    assert width > 8
+    assert (codes == _pack_codes(ks.bit_block(ids, base, width))).all()
