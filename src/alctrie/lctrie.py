@@ -19,8 +19,11 @@ from .trie import (
     DEFAULT_DEPTH_CAP,
     DepthCapError,
     IndistinguishableKeysError,
+    _fillup,
+    _lcp_counts,
     _pack_codes,
     _shared_prefix_codes,
+    _sorted_lcp,
 )
 
 __all__ = [
@@ -86,12 +89,7 @@ def _group_fillup(keys: KeySet, ids: np.ndarray, base: int, alpha: float):
     with the codes and width trie._shared_prefix_codes read to find it."""
     counts, codes, width = _shared_prefix_codes(keys, ids, base=base,
                                                 stop_below=alpha)
-    level = 0
-    for k in range(1, len(counts)):
-        if counts[k] * 2.0**-k < alpha:
-            break
-        level = k
-    return level, codes, width
+    return _fillup(counts, alpha), codes, width
 
 
 def _slot_codes(keys, ids, base, consumed, codes, width) -> np.ndarray:
@@ -121,41 +119,38 @@ def compress(keys: KeySet, alpha: float,
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     n = len(keys)
-    if n == 0:
-        return AlcTrie(keyset=keys, alpha=alpha, root=None)
-    if n == 1:
-        return AlcTrie(keyset=keys, alpha=alpha, root=0)
-    root = _compress_group(keys, np.arange(n, dtype=np.int64), 0, alpha, depth_cap)
-    return AlcTrie(keyset=keys, alpha=alpha, root=root)
+    if n < 2:
+        return AlcTrie(keyset=keys, alpha=alpha, root=0 if n else None)
+    order, lcp, codes = _sorted_lcp(keys)
 
-
-def _compress_group(keys, ids, base, alpha, depth_cap):
-    fillup, codes, width = _group_fillup(keys, ids, base, alpha)
-    consumed = fillup + 1
-    if base + consumed > depth_cap:
-        raise DepthCapError(
-            f"compression exceeded depth cap {depth_cap} at level {base}"
-        )
-    codes = _slot_codes(keys, ids, base, consumed, codes, width)
-    children: list = [None] * (1 << consumed)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    sorted_ids = ids[order]
-    m = len(ids)
-    start = 0
-    while start < m:
-        end = start + 1
-        while end < m and sorted_codes[end] == sorted_codes[start]:
-            end += 1
-        slot = int(sorted_codes[start])
-        if end - start == 1:
-            children[slot] = int(sorted_ids[start])
-        else:
-            children[slot] = _compress_group(
-                keys, sorted_ids[start:end], base + consumed, alpha, depth_cap
+    def node(start: int, end: int, base: int) -> AlcNode:
+        """The node over sorted keys start .. end-1, which share `base` bits;
+        every group is such a range of trie._sorted_lcp's order."""
+        inner = lcp[start:end - 1].tolist()
+        # a level holds at most m/2 shared prefixes, so none past
+        # log2(m/alpha) - 1 reaches alpha: the levels to `top` decide
+        top = int((end - start) / alpha).bit_length()
+        consumed = _fillup(_lcp_counts(inner, base, top), alpha) + 1
+        stop = base + consumed
+        if stop > depth_cap:
+            raise DepthCapError(
+                f"compression exceeded depth cap {depth_cap} at level {base}"
             )
-        start = end
-    return AlcNode(consumed=consumed, children=children)
+        # each child is a run of keys sharing `stop` bits, slotted by its first
+        cuts = [start, *(i for i, v in enumerate(inner, start + 1) if v < stop), end]
+        children: list = [None] * (1 << consumed)
+        for a, b in zip(cuts, cuts[1:]):
+            key_id = int(order[a])
+            length = keys.key_length(key_id)
+            if stop <= 64 and (length is None or length >= stop):
+                slot = (int(codes[a]) >> (64 - stop)) & ((1 << consumed) - 1)
+            else:  # past the codes, or a finite key too short (which raises)
+                slot = int(_slot_codes(keys, order[a:a + 1], base, consumed,
+                                       None, 0)[0])
+            children[slot] = key_id if b - a == 1 else node(a, b, stop)
+        return AlcNode(consumed=consumed, children=children)
+
+    return AlcTrie(keyset=keys, alpha=alpha, root=node(0, n, 0))
 
 
 def depth(alc: AlcTrie, key_id: int) -> DepthSample:

@@ -1,20 +1,25 @@
-"""Uncompressed binary tries with per-level occupancy profiles.
+"""Binary tries over key sets, and their per-level occupancy profiles.
 
 A node at level k stands for a k-bit prefix.  A prefix shared by two or more
 keys is a filled (internal) node; a key sits in an external node at the depth
-of its shortest prefix not shared with any other key.  Unary internal nodes
-are kept explicit so that the per-level counts match the prefix-counting
-definition exactly.
+of its shortest prefix not shared with any other key.
+
+Profiles and compressed tries come from the keys in sorted order plus the
+longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): a profile
+is a difference array over the LCPs, and every subtrie is a contiguous range
+of the order.  `build` makes the explicit trie instead, unary internal nodes
+included, as a second route to the same profiles and external depths.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .source import KeySet, KeyExhaustedError
+from .source import MAX_BIT_INDEX, KeySet, KeyExhaustedError
 
 __all__ = [
     "Trie",
@@ -204,15 +209,10 @@ def count_filled_oracle(keys: KeySet, k: int) -> int:
 
 
 def _dup_run_count(sorted_arr: np.ndarray) -> int:
-    """Number of runs of length >= 2 in a sorted array."""
-    m = len(sorted_arr)
-    if m < 2:
-        return 0
-    boundary = np.empty(m + 1, dtype=bool)
-    boundary[0] = boundary[m] = True
-    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=boundary[1:m])
-    run_lengths = np.diff(np.flatnonzero(boundary))
-    return int(np.count_nonzero(run_lengths >= 2))
+    """Number of runs of length >= 2 in a sorted array: each starts with an
+    equal neighbour pair that follows an unequal one, or the array's start."""
+    eq = sorted_arr[1:] == sorted_arr[:-1]
+    return int(np.count_nonzero(eq[1:] > eq[:-1])) + int(eq[:1].sum())
 
 
 def _pack_codes(bits: np.ndarray) -> np.ndarray:
@@ -228,6 +228,84 @@ def _pack_codes(bits: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _word(keys: KeySet, ids: np.ndarray, start: int) -> np.ndarray:
+    """Bits start .. start+63 of each key as a uint64, MSB first; a finite
+    key reads 0 past its end."""
+    bits = (keys.bit_block(ids, start, 64) if keys.is_random
+            else keys._finite_bits[ids, start:start + 64])   # zero padded
+    packed = np.zeros((len(ids), 8), dtype=np.uint8)
+    packed[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1)
+    return packed.view(">u8")[:, 0].astype(np.uint64)
+
+
+def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
+    """Leading bits each 64-bit code shares with the next: 64 less the bit
+    length of their XOR, read from the float64 exponents of its 32-bit
+    halves, which are exact."""
+    x = ordered[1:] ^ ordered[:-1]
+    hi = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return 64 - np.where(hi > 0, hi + 32, lo).astype(np.int64)
+
+
+def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
+    """The keys `ids` (default all) sorted by their bits from `base` on, with
+    the longest common prefix of each adjacent pair: (order, lcp, codes).
+
+    A finite key sorts before the keys it is a prefix of.  lcp[i] is the LCP
+    of sorted keys i and i+1; codes[i] packs bits base .. base+63 of key
+    order[i], MSB first, 0 past a finite key's end.  Only runs tied on every
+    word so far read their next 64 bits.  Raises IndistinguishableKeysError
+    when a finite key is a prefix of another, or equal to it.
+    """
+    if ids is None:
+        ids = np.arange(len(keys), dtype=np.int64)
+    codes = _word(keys, ids, base)
+    # bits left in each key; random keys run to the largest bit index
+    lengths = (np.full(len(ids), MAX_BIT_INDEX, dtype=np.int64) if keys.is_random
+               else keys._lengths[ids] - base)
+    order = np.lexsort((lengths, codes))
+    ids, codes, lengths = ids[order], codes[order], lengths[order]
+    lcp = _adjacent_lcp(codes)
+    width = 64
+    tied = np.flatnonzero(lcp == width)
+    while len(tied) and width < lengths[tied + 1].max():
+        # the rows of the tied runs, re-sorted within each run by their next word
+        rows = np.union1d(tied, tied + 1)
+        follows = np.isin(rows, tied + 1)
+        word = _word(keys, ids[rows], base + width)
+        perm = np.lexsort((lengths[rows], word, np.cumsum(~follows)))
+        ids[rows], lengths[rows] = ids[rows][perm], lengths[rows][perm]
+        lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]
+        width += 64
+        tied = np.flatnonzero(lcp == width)
+    nested = np.flatnonzero(lcp >= lengths[:-1])   # a key sorts before its extensions
+    if len(nested):
+        i = int(nested[0])
+        raise IndistinguishableKeysError(
+            f"key {ids[i]} is a prefix of key {ids[i + 1]}: they share all "
+            f"{base + lengths[i]} bits of key {ids[i]}")
+    return ids, lcp, codes
+
+
+def _lcp_counts(lcps: list[int], base: int = 0, top: int | None = None) -> list[int]:
+    """Shared-prefix counts at levels 0 .. top (default: the deepest) of sorted
+    keys sharing `base` bits, from the LCPs of their adjacent pairs.  Such a
+    prefix is a maximal run of pairs with LCP >= its length, so pair i starts
+    one at each level lcps[i-1] < k <= lcps[i]: a difference array."""
+    if top is None:
+        top = max(lcps, default=base - 1) - base
+    diff = [0] * (top + 2)
+    prev = -1
+    for v in lcps:
+        v = min(v - base, top)
+        if v > prev:
+            diff[prev + 1] += 1
+            diff[v + 1] -= 1
+        prev = v
+    return list(accumulate(diff[:-1]))
+
+
 def shared_prefix_counts(
     keys: KeySet,
     ids: np.ndarray | None = None,
@@ -239,7 +317,7 @@ def shared_prefix_counts(
 
     Stops after the last nonzero level, or as soon as the filled fraction
     drops below stop_below, or at level `upto`.  Vectorized over packed
-    prefix codes; used by the simulation paths and by level compression.
+    prefix codes; used by the simulation paths.
     """
     return _shared_prefix_codes(keys, ids, base, stop_below, upto)[0]
 
@@ -247,127 +325,47 @@ def shared_prefix_counts(
 def _shared_prefix_codes(keys, ids=None, base=0, stop_below=None, upto=None):
     """shared_prefix_counts plus the bits it read: (counts, codes, width).
 
-    codes[j] packs bits base .. base+width-1 of key ids[j], MSB first, in the
-    order of ids.  The codes widen 8, 16, 32, 64 bits as the counts need, and
-    each widening hashes only the new columns.  Finite keys are tabulated per
-    level instead and give codes None.
+    For random keys, codes[j] packs bits base .. base+width-1 of key ids[j],
+    MSB first, in the order of ids.  The codes widen 8, 16, 32, 64 bits as
+    the counts need, and each widening hashes only the new columns, so a
+    fillup level near the root reads few bits.  Counts past 64 bits, and all
+    counts of finite keys (codes None), come from _sorted_lcp.
     """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
-    m = len(ids)
     counts: list[int] = []
-    if m < 2:
-        return counts, None, 0
 
-    def done_at(k: int, x: int) -> bool:
+    def take(k: int, x: int) -> bool:
+        """Record level k's count unless it is 0; True once counting ends."""
         if x == 0:
             return True
-        if stop_below is not None and x * 2.0**-k < stop_below:
-            return True
-        return upto is not None and k >= upto
-
-    counts.append(1)  # level 0: the empty prefix, shared by the whole group
-    if done_at(0, 1):
-        return _trimmed(counts), None, 0
-    if not keys.is_random:
-        # finite keys may be shorter than the packing width; fall back to
-        # exact per-level tabulation with early unique-key retirement
-        return _shared_counts_finite(keys, ids, base, counts, done_at), None, 0
-
-    width = 8
-    codes = _pack_codes(keys.bit_block(ids, base, width))
-    while True:
-        ordered = np.sort(codes)
-        for k in range(len(counts), width + 1):
-            x = _dup_run_count(ordered >> np.uint64(width - k))
-            counts.append(x)
-            if done_at(k, x):
-                return _trimmed(counts), codes, width
-        if width == 64:
-            return _shared_counts_finite(keys, ids, base, counts, done_at), codes, width
-        codes <<= np.uint64(width)
-        codes |= _pack_codes(keys.bit_block(ids, base + width, width))
-        width *= 2
-
-
-def _trimmed(counts: list[int]) -> list[int]:
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return counts
-
-
-def _shared_counts_finite(keys, ids, counts_base, counts, done_at):
-    """Per-level tabulation for finite keys (or depths beyond 64 bits).
-
-    Keys already unique at some level never rejoin a shared prefix and are
-    retired; a finite key that ends while still sharing its prefix makes the
-    group indistinguishable.
-    """
-    base = counts_base
-    k = len(counts)
-    # regroup survivors by their first k bits beyond base
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in ids:
-        i = int(i)
-        length = keys.key_length(i)
-        try:
-            prefix = tuple(int(b) for b in keys.bit_block(
-                np.array([i], dtype=np.int64), base, k)[0])
-        except KeyExhaustedError:
-            # key ended before level k; it must have been unique already,
-            # otherwise the group can never be discriminated
-            avail = (length or 0) - base
-            prefix_avail = tuple(int(b) for b in keys.bit_block(
-                np.array([i], dtype=np.int64), base, avail)[0])
-            groups.setdefault(("short", prefix_avail), []).append(i)
-            continue
-        groups.setdefault(prefix, []).append(i)
-    # validate the short keys: each must be unique at its own end
-    live: dict[tuple[int, ...], list[int]] = {}
-    for gkey, members in groups.items():
-        if isinstance(gkey[0], str):
-            _, prefix_avail = gkey
-            for other_key, others in groups.items():
-                if other_key is gkey:
-                    continue
-                other_prefix = other_key[1] if isinstance(other_key[0], str) else other_key
-                if other_prefix[: len(prefix_avail)] == prefix_avail:
-                    raise IndistinguishableKeysError(
-                        f"key {members[0]} ends while still sharing a prefix"
-                    )
-            if len(members) > 1:
-                raise IndistinguishableKeysError(
-                    f"keys {members} are identical within their length"
-                )
-        else:
-            if len(members) >= 2:
-                live[gkey] = members
-    while True:
-        x = len(live)
         counts.append(x)
-        if done_at(k, x):
-            return _trimmed(counts)
-        nxt: dict[tuple[int, ...], list[int]] = {}
-        for prefix, members in live.items():
-            split: dict[int, list[int]] = {}
-            for i in members:
-                length = keys.key_length(i)
-                if length is not None and base + k >= length:
-                    raise IndistinguishableKeysError(
-                        f"key {i} shares its full {length}-bit string with "
-                        f"{[j for j in members if j != i]}"
-                    )
-                split.setdefault(keys[i].bit(base + k), []).append(i)
-            for b, sub in split.items():
-                if len(sub) >= 2:
-                    nxt[prefix + (b,)] = sub
-        live = nxt
-        k += 1
+        return ((stop_below is not None and x * 2.0**-k < stop_below)
+                or (upto is not None and k >= upto))
+
+    codes, width = None, 0
+    if keys.is_random:
+        codes, width = _pack_codes(keys.bit_block(ids, base, 8)), 8
+        while True:
+            ordered = np.sort(codes)
+            for k in range(len(counts), width + 1):
+                if take(k, _dup_run_count(ordered >> np.uint64(width - k))):
+                    return counts, codes, width
+            if width == 64:
+                break
+            codes <<= np.uint64(width)
+            codes |= _pack_codes(keys.bit_block(ids, base + width, width))
+            width *= 2
+    full = _lcp_counts(_sorted_lcp(keys, ids, base)[1].tolist()) + [0]
+    for k in range(len(counts), len(full)):
+        if take(k, full[k]):
+            break
+    return counts, codes, width
 
 
 def tabulate_profile(keys: KeySet) -> LevelProfile:
-    """LevelProfile computed by prefix tabulation, without building a trie."""
-    return LevelProfile(np.array(shared_prefix_counts(keys), dtype=np.int64))
+    """LevelProfile computed from the keys in sorted order, without a trie."""
+    return LevelProfile(_lcp_counts(_sorted_lcp(keys)[1].tolist()))
 
 
 def alpha_fillup_level(profile: LevelProfile, alpha: float) -> int:
@@ -383,9 +381,15 @@ def alpha_fillup_level(profile: LevelProfile, alpha: float) -> int:
             "fillup level undefined: no level reaches the requested fraction "
             "(needs at least two keys)"
         )
+    return _fillup(profile.counts, alpha)
+
+
+def _fillup(counts, alpha: float) -> int:
+    """Alpha-fillup level from shared-prefix counts: filled fractions never
+    rise with the level, so the first one below alpha ends the search."""
     level = 0
-    for k in range(1, len(profile)):
-        if profile.fraction(k) < alpha:
+    for k in range(1, len(counts)):
+        if counts[k] * 2.0**-k < alpha:
             break
         level = k
     return level

@@ -177,6 +177,17 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_build_rejects_nested_prefixes(tmp_path, capsys):
+    keys = tmp_path / "keys.txt"
+    keys.write_text("10.0.0.0/8\n10.1.0.0/16\n")
+    code, out, err = run_cli(capsys, "build", "--keys", str(keys),
+                             "--alpha", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: key 0 is a prefix of key 1: they share all 8 bits "
+                   "of key 0\n")
+
+
 def test_help_documents_every_flag():
     parser = build_parser()
     expected = {

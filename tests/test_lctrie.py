@@ -1,8 +1,9 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from alctrie.lctrie import (
     AlcNode,
@@ -20,13 +21,18 @@ from alctrie.trie import (
     IndistinguishableKeysError,
     _shared_prefix_codes,
     build,
+    count_filled_oracle,
     external_depth,
+    shared_prefix_counts,
+    tabulate_profile,
 )
 
 from conftest import (
+    RefNode,
     finite_from_random,
     random_queries,
     ref_compress,
+    ref_external_depths,
     ref_lpm,
     same_structure,
 )
@@ -271,9 +277,10 @@ def test_depth_sample_fields():
 # -- groups whose fillup counting widens its packed codes past 8 bits --------
 
 WIDE_N = 2**12
-# (p, alpha) whose compression of WIDE_N keys at seed 4242 widens some group's
-# codes; at p = 0.9 with alpha >= 0.5, and at p = 0.7 with alpha = 1, no group
-# of that size fills 8 levels, so those cases check the 8-bit path
+# (p, alpha) whose designated-depth walks over WIDE_N keys at seed 4242 widen
+# some group's codes; at p = 0.9 with alpha >= 0.5, and at p = 0.7 with
+# alpha = 1, no group of that size fills 8 levels, so those cases check the
+# 8-bit path
 WIDENS = {(0.5, 0.25), (0.5, 0.5), (0.5, 1.0), (0.7, 0.25), (0.7, 0.5),
           (0.9, 0.25)}
 
@@ -291,10 +298,10 @@ def test_widened_codes_give_reference_structure_and_depths(p, alpha, monkeypatch
     monkeypatch.setattr("alctrie.lctrie._shared_prefix_codes", recording)
     ks, _, tuples = finite_from_random(p, 4242, WIDE_N, width=256)
     alc = compress(ks, alpha)
-    assert (max(widths) > 8) == ((p, alpha) in WIDENS)
     assert same_structure(alc.root, ref_compress(list(enumerate(tuples)), alpha))
     for k in (0, 1, 517, WIDE_N - 1):
         assert designated_depth(ks, alpha, k) == depth(alc, k)
+    assert (max(widths) > 8) == ((p, alpha) in WIDENS)
 
 
 def test_widening_happens_at_the_root():
@@ -312,3 +319,141 @@ def test_depth_raises_when_keys_do_not_match_the_trie():
                     root=alc.root)
     with pytest.raises(RuntimeError, match=r"^key 5's bits lead to .* at level \d+"):
         depth(other, 5)
+
+
+# -- compress and tabulate_profile against the oracles, per input class ------
+
+def ref_slot_ends(node, base=0) -> dict:
+    """{key id: the bit its slot in a RefNode tree ends at}."""
+    if isinstance(node, RefNode):
+        ends = {}
+        for child in node.children:
+            ends.update(ref_slot_ends(child, base + node.consumed))
+        return ends
+    return {} if node is None else {node: base}
+
+
+def key_lines(tuples, lengths, cidr):
+    """Each key cut to its length, as a 0/1 line or as CIDR over its first
+    32 bits."""
+    lines = []
+    for bits, length in zip(tuples, lengths):
+        if cidr:
+            a = int("".join(map(str, bits[:32])), 2)
+            lines.append(f"{a >> 24}.{(a >> 16) & 255}.{(a >> 8) & 255}.{a & 255}"
+                         f"/{length}")
+        else:
+            lines.append("".join(map(str, bits[:length])))
+    return lines
+
+
+def assert_profile(keys, oracle_keys):
+    prof = tabulate_profile(keys)
+    for k in range(len(prof) + 2):
+        assert prof.count(k) == count_filled_oracle(oracle_keys, k)
+    return prof
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    p=st.sampled_from([0.3, 0.5, 0.7]),
+    alpha=st.sampled_from([0.25, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    cidr=st.booleans(),
+    long_enough=st.booleans(),
+    data=st.data(),
+)
+def test_mixed_length_keys_match_oracles(n, p, alpha, seed, cidr, long_enough,
+                                         data):
+    # each key is a random key cut past its shortest unique prefix, so no key
+    # is a prefix of another, and profile and structure are the random keys'
+    ks, _, tuples = finite_from_random(p, seed, n)
+    ref = ref_compress(list(enumerate(tuples)), alpha)
+    ends = ref_slot_ends(ref)
+    shortest = [max(1, d, ends[i] if long_enough else 0)
+                for i, d in enumerate(ref_external_depths(tuples) if n else [])]
+    assume(not cidr or max(shortest, default=0) <= 32)
+    extra = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    lengths = [min(32, s + e) if cidr else s + e for s, e in zip(shortest, extra)]
+    finite = KeySet.from_lines(key_lines(tuples, lengths, cidr))
+    assert_profile(finite, ks)
+    if any(lengths[i] < ends[i] for i in range(n)):
+        with pytest.raises(IndistinguishableKeysError, match="too short"):
+            compress(finite, alpha)
+        return
+    alc = compress(finite, alpha)
+    assert same_structure(alc.root, ref)
+    for i in range(n):
+        assert designated_depth(finite, alpha, i) == depth(alc, i)
+
+
+def test_skewed_sources_match_oracles_past_64_bits():
+    deepest = []
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        p=st.sampled_from([0.03, 0.97]),
+        alpha=st.sampled_from([0.25, 0.5, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def check(n, p, alpha, seed):
+        ks, finite, tuples = finite_from_random(p, seed, n, width=512)
+        prof = assert_profile(ks, finite)
+        assert shared_prefix_counts(ks) == prof.counts.tolist()
+        ref = ref_compress(list(enumerate(tuples)), alpha)
+        assert same_structure(compress(ks, alpha).root, ref)
+        deepest.append(len(prof) - 1)   # the largest LCP of two keys
+
+    check()
+    assert max(deepest) > 64
+
+
+def test_empty_and_single_key_sets_match_oracles():
+    for n in (0, 1):
+        for ks in (generate_keys(SourceParams(0.97, 5), n),
+                   KeySet.from_lines(["10.0.0.0/8"][:n])):
+            assert len(assert_profile(ks, ks)) == 0
+            for alpha in (0.25, 1.0):
+                ref = ref_compress([(0, ())][:n], alpha)
+                assert same_structure(compress(ks, alpha).root, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_nested_prefixes_are_rejected_naming_both_keys(n, seed, data):
+    _, _, tuples = finite_from_random(0.5, seed, n)
+    lines = key_lines(tuples, [max(1, d) for d in ref_external_depths(tuples)],
+                      cidr=False)
+    victim = lines[data.draw(st.integers(0, n - 1))]
+    if len(victim) > 1 and data.draw(st.booleans()):
+        nested = victim[:data.draw(st.integers(1, len(victim) - 1))]
+    else:
+        nested = victim + "".join(data.draw(st.lists(st.sampled_from("01"),
+                                                      min_size=1, max_size=8)))
+    lines.insert(data.draw(st.integers(0, n)), nested)
+    keys = KeySet.from_lines(lines)
+    for route in (tabulate_profile, lambda ks: compress(ks, 0.5)):
+        with pytest.raises(IndistinguishableKeysError) as err:
+            route(keys)
+        a, b, shared = map(int, re.fullmatch(
+            r"key (\d+) is a prefix of key (\d+): they share all (\d+) bits "
+            r"of key \1", str(err.value)).groups())
+        assert lines.index(nested) in (a, b)
+        assert lines[b].startswith(lines[a]) and len(lines[a]) == shared
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_designated_depth_past_bit_64(alpha):
+    # compress reads slots past bit 64 from the keys, not from its codes
+    ks = generate_keys(SourceParams(0.95, 77), 512)
+    alc = compress(ks, alpha)
+    deep = [i for i in range(512) if depth(alc, i).consumed_total > 64]
+    assert deep
+    for i in deep:
+        assert designated_depth(ks, alpha, i) == depth(alc, i)
