@@ -122,11 +122,16 @@ def compress(keys: KeySet, alpha: float,
     if n < 2:
         return AlcTrie(keyset=keys, alpha=alpha, root=0 if n else None)
     order, lcp, codes = _sorted_lcp(keys)
+    # Python lists: each node reads a few entries, where numpy indexing costs most
+    ids, lcps, words = order.tolist(), lcp.tolist(), codes.tolist()
+    lengths = [None] * n if keys.is_random else keys._lengths[order].tolist()
 
-    def node(start: int, end: int, base: int) -> AlcNode:
-        """The node over sorted keys start .. end-1, which share `base` bits;
-        every group is such a range of trie._sorted_lcp's order."""
-        inner = lcp[start:end - 1].tolist()
+    def node(start: int, end: int, base: int):
+        """Build the node over sorted keys start .. end-1, which share `base`
+        bits; every group is such a range of trie._sorted_lcp's order.  Yields
+        the (start, end, base) of each nested child, is sent that child back,
+        and yields the finished node last."""
+        inner = lcps[start:end - 1]
         # a level holds at most m/2 shared prefixes, so none past
         # log2(m/alpha) - 1 reaches alpha: the levels to `top` decide
         top = int((end - start) / alpha).bit_length()
@@ -140,17 +145,29 @@ def compress(keys: KeySet, alpha: float,
         cuts = [start, *(i for i, v in enumerate(inner, start + 1) if v < stop), end]
         children: list = [None] * (1 << consumed)
         for a, b in zip(cuts, cuts[1:]):
-            key_id = int(order[a])
-            length = keys.key_length(key_id)
+            length = lengths[a]
             if stop <= 64 and (length is None or length >= stop):
-                slot = (int(codes[a]) >> (64 - stop)) & ((1 << consumed) - 1)
+                slot = (words[a] >> (64 - stop)) & ((1 << consumed) - 1)
             else:  # past the codes, or a finite key too short (which raises)
                 slot = int(_slot_codes(keys, order[a:a + 1], base, consumed,
                                        None, 0)[0])
-            children[slot] = key_id if b - a == 1 else node(a, b, stop)
-        return AlcNode(consumed=consumed, children=children)
+            children[slot] = ids[a] if b - a == 1 else (yield a, b, stop)
+        yield AlcNode(consumed=consumed, children=children)
 
-    return AlcTrie(keyset=keys, alpha=alpha, root=node(0, n, 0))
+    # one suspended node() per level of the path being built, in place of a
+    # recursion: a long shared prefix nests one node per few bits, past
+    # Python's recursion limit well before the depth cap
+    path = [node(0, n, 0)]
+    done = None
+    while path:
+        step = path[-1].send(done)
+        if isinstance(step, AlcNode):
+            path.pop()
+            done = step
+        else:
+            path.append(node(*step))
+            done = None
+    return AlcTrie(keyset=keys, alpha=alpha, root=done)
 
 
 def depth(alc: AlcTrie, key_id: int) -> DepthSample:

@@ -183,28 +183,29 @@ class KeySet:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<lines>") -> "KeySet":
-        keys: list[tuple[int, ...]] = []
-        seen: dict[tuple[int, ...], int] = {}
+        # a key is (length, value) with its bits in value, MSB first: equal
+        # pairs are equal bit strings, whichever format each line used
+        seen: dict[tuple[int, int], int] = {}
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            bits = parse_key_line(line, line_no)
-            if bits in seen:
+            key = _parse_key(line, line_no)
+            first = seen.setdefault(key, line_no)
+            if first != line_no:
                 raise DuplicateKeyError(
-                    f"duplicate key {line!r} (same bits as line {seen[bits]})",
-                    line_no,
+                    f"duplicate key {line!r} (same bits as line {first})", line_no
                 )
-            seen[bits] = line_no
-            keys.append(bits)
-        n = len(keys)
-        max_len = max((len(b) for b in keys), default=0)
-        mat = np.zeros((n, max_len), dtype=np.uint8)
-        lengths = np.zeros(n, dtype=np.int64)
-        for i, b in enumerate(keys):
-            lengths[i] = len(b)
-            if b:
-                mat[i, : len(b)] = b
+        n = len(seen)
+        lengths = np.fromiter((length for length, _ in seen), dtype=np.int64,
+                              count=n)
+        max_len = int(lengths.max(initial=0))
+        # every key left-aligned in the same whole number of bytes, unpacked at once
+        width = (max_len + 7) // 8
+        packed = b"".join((value << (8 * width - length)).to_bytes(width, "big")
+                          for length, value in seen)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+        mat = np.ascontiguousarray(np.unpackbits(rows, axis=1)[:, :max_len])
         return cls(params=None, n=n, finite_bits=mat, lengths=lengths,
                    origin=origin)
 
@@ -306,29 +307,53 @@ def load_keys(path) -> KeySet:
 
 def parse_key_line(line: str, line_no: int = 0) -> tuple[int, ...]:
     """Parse one key file line: either a 0/1 string or "a.b.c.d/len"."""
+    length, value = _parse_key(line, line_no)
+    return tuple((value >> i) & 1 for i in range(length - 1, -1, -1))
+
+
+def _parse_key(line: str, line_no: int) -> tuple[int, int]:
+    """(length, value) of one key file line, value holding its bits MSB first."""
     if "/" in line:
         addr, _, plen_s = line.partition("/")
-        try:
-            plen = int(plen_s)
-        except ValueError:
-            raise KeyFileError(f"bad prefix length {plen_s!r}", line_no) from None
-        if not (0 <= plen <= 32):
+        plen = _OCTETS.get(plen_s)
+        if plen is None:
+            plen = _decimal(plen_s)
+            if plen is None:
+                raise KeyFileError(f"bad prefix length {plen_s!r}", line_no)
+        if plen > 32:
             raise KeyFileError(f"prefix length {plen} outside 0..32", line_no)
         octets = addr.split(".")
         if len(octets) != 4:
             raise KeyFileError(f"bad IPv4 address {addr!r}", line_no)
         value = 0
         for o in octets:
-            if not o.isdigit():
-                raise KeyFileError(f"bad IPv4 octet {o!r}", line_no)
-            v = int(o)
-            if v > 255:
-                raise KeyFileError(f"IPv4 octet {v} exceeds 255", line_no)
+            v = _OCTETS.get(o)
+            if v is None:
+                v = _decimal(o)
+                if v is None:
+                    raise KeyFileError(f"bad IPv4 octet {o!r}", line_no)
+                if v > 255:
+                    raise KeyFileError(f"IPv4 octet {v} exceeds 255", line_no)
             value = (value << 8) | v
-        return tuple((value >> (31 - i)) & 1 for i in range(plen))
-    if not all(c in "01" for c in line):
+        return plen, value >> (32 - plen)
+    if line.strip("01"):
         raise KeyFileError(f"expected 0/1 characters or CIDR, got {line!r}", line_no)
-    return tuple(int(c) for c in line)
+    return len(line), int(line, 2) if line else 0
+
+
+# the usual spelling of every octet value, looked up before _decimal parses
+_OCTETS = {str(v): v for v in range(256)}
+
+
+def _decimal(text: str) -> int | None:
+    """The value of a string of ASCII decimal digits, else None: int() alone
+    would also take a sign, spaces, underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past int()'s limit on decimal digits
+        return None
 
 
 def _ones(r: Sequence[int] | str) -> tuple[int, int]:

@@ -188,6 +188,51 @@ def test_build_rejects_nested_prefixes(tmp_path, capsys):
                    "of key 0\n")
 
 
+@pytest.mark.parametrize("keys_text, message", [
+    ("10.0.0.0/8\n1.2.3.\u00b2/24\n", "line 2: bad IPv4 octet '\u00b2'"),
+    ("0101\n# comment\n01x1\n", "line 3: expected 0/1 characters or CIDR, got '01x1'"),
+    ("1.2.3.4/+8\n", "line 1: bad prefix length '+8'"),
+    ("0\n1.2.3.4/33\n", "line 2: prefix length 33 outside 0..32"),
+    ("10.0.0.0/8\n\n00001010\n", "line 3: duplicate key '00001010' (same bits as line 1)"),
+])
+def test_build_rejects_bad_key_lines(tmp_path, capsys, keys_text, message):
+    keys = tmp_path / "keys.txt"
+    keys.write_text(keys_text, encoding="utf-8")
+    # query loads its keys before it opens the queries
+    for command in (("build",), ("query", "--queries", str(keys))):
+        code, out, err = run_cli(capsys, *command, "--keys", str(keys),
+                                 "--alpha", "0.5")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_query_rejects_bad_query_line(tmp_path, capsys):
+    keys = tmp_path / "keys.txt"
+    keys.write_text("00\n01\n1\n")
+    queries = tmp_path / "queries.txt"
+    queries.write_text("0101\n# comment\n1.2.3.4/-1\n")
+    code, out, err = run_cli(capsys, "query", "--keys", str(keys),
+                             "--queries", str(queries))
+    assert (code, out, err) == (1, "", "error: line 3: bad prefix length '-1'\n")
+
+
+def test_build_long_shared_prefix(tmp_path, capsys):
+    # two keys sharing 2,500 bits nest about 1,250 nodes deep, past Python's
+    # recursion limit; sharing 5,000 bits passes the 4,096-level depth cap
+    keys = tmp_path / "keys.txt"
+    keys.write_text("0" * 2500 + "0\n" + "0" * 2500 + "1\n")
+    code, out, err = run_cli(capsys, "build", "--keys", str(keys),
+                             "--alpha", "0.5", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["keys"] == 2
+    assert payload["max_depth"] == payload["node_count"] == 1251
+    keys.write_text("0" * 5000 + "0\n" + "0" * 5000 + "1\n")
+    code, out, err = run_cli(capsys, "build", "--keys", str(keys),
+                             "--alpha", "0.5")
+    assert (code, out) == (1, "")
+    assert err == "error: compression exceeded depth cap 4096 at level 4096\n"
+
+
 def test_help_documents_every_flag():
     parser = build_parser()
     expected = {

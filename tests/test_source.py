@@ -119,6 +119,163 @@ def test_parse_errors_carry_line_numbers(tmp_path):
             parse_key_line(bad, 1)
 
 
+# -- key files ----------------------------------------------------------------
+#
+# A reference loader in the form the package first had: each key a tuple of
+# bits, duplicates found on those tuples, the matrix filled row by row.
+
+_DIGITS = frozenset("0123456789")
+
+
+def _ref_parse(line, line_no):
+    if "/" in line:
+        addr, _, plen_s = line.partition("/")
+        if not plen_s or not set(plen_s) <= _DIGITS:
+            raise KeyFileError(f"bad prefix length {plen_s!r}", line_no)
+        plen = int(plen_s)
+        if plen > 32:
+            raise KeyFileError(f"prefix length {plen} outside 0..32", line_no)
+        octets = addr.split(".")
+        if len(octets) != 4:
+            raise KeyFileError(f"bad IPv4 address {addr!r}", line_no)
+        bits = []
+        for o in octets:
+            if not o or not set(o) <= _DIGITS:
+                raise KeyFileError(f"bad IPv4 octet {o!r}", line_no)
+            if int(o) > 255:
+                raise KeyFileError(f"IPv4 octet {int(o)} exceeds 255", line_no)
+            bits.extend(int(c) for c in format(int(o), "08b"))
+        return tuple(bits[:plen])
+    if not set(line) <= {"0", "1"}:
+        raise KeyFileError(f"expected 0/1 characters or CIDR, got {line!r}", line_no)
+    return tuple(int(c) for c in line)
+
+
+def _ref_load(lines):
+    keys, seen = [], {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        bits = _ref_parse(line, line_no)
+        if bits in seen:
+            raise DuplicateKeyError(
+                f"duplicate key {line!r} (same bits as line {seen[bits]})", line_no
+            )
+        seen[bits] = line_no
+        keys.append(bits)
+    mat = np.zeros((len(keys), max(map(len, keys), default=0)), dtype=np.uint8)
+    for i, bits in enumerate(keys):
+        mat[i, :len(bits)] = list(bits)
+    return mat, np.array([len(b) for b in keys], dtype=np.int64)
+
+
+_BAD_LINES = [
+    "1.2.3.\u00b2/24", "\u0663.2.3.4/8", "1.2.3.4/\u0663", "1.2.3.4/+8", "1.2.3.4/-0",
+    "1.2.3.4/-1", "1.2.3.4/ 8", "1.2.3.4/0_8", "1.2.3.4/", "1.2.3.4/33",
+    "1.2.3/8", "1.2.3.4.5/8", "1..3.4/8", "/8", "1.2.3.256/8", "1.2.3.0256/8",
+    "1.2.3.x/8", "0.0.0.0/x", "1.2.3.4/8/9", "0102", "01 10", "0b101", "1_0",
+    "hello", "\u0661\u0660",
+]
+
+
+@st.composite
+def _cidr_line(draw, bits):
+    host = draw(st.integers(0, 2 ** (32 - len(bits)) - 1))
+    addr = (int("".join(map(str, bits)) or "0", 2) << (32 - len(bits))) | host
+    octets = [str((addr >> s) & 255) for s in (24, 16, 8, 0)]
+    pad = draw(st.lists(st.sampled_from(["", "0", "00"]), min_size=4, max_size=4))
+    return ".".join(z + o for z, o in zip(pad, octets)) + f"/{len(bits)}"
+
+
+@st.composite
+def _key_files(draw):
+    length = st.one_of(st.integers(0, 32), st.sampled_from([0, 32]),
+                       st.integers(33, 200))
+    pool = draw(st.lists(length.flatmap(
+        lambda k: st.tuples(*[st.integers(0, 1)] * k)), min_size=1, max_size=6))
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(
+            ["key"] * 6 + ["comment", "blank", "bad", "text", "cidr"]))
+        if kind == "key":
+            bits = draw(st.sampled_from(pool))
+            as_cidr = len(bits) <= 32 and (not bits or draw(st.booleans()))
+            line = (draw(_cidr_line(bits)) if as_cidr
+                    else "".join(map(str, bits)))
+        elif kind == "comment":
+            line = "#" + draw(st.text(alphabet="01./ x", max_size=8))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "bad":
+            line = draw(st.sampled_from(_BAD_LINES))
+        elif kind == "cidr":  # numbers at and past their bounds
+            octet = st.one_of(st.integers(0, 255), st.sampled_from([255, 256, 999]))
+            octets = draw(st.lists(octet.map(str), min_size=4, max_size=4))
+            line = ".".join(octets) + "/" + str(draw(st.integers(0, 33)))
+        else:
+            line = draw(st.text(alphabet="01./+-_ #9\u00b2", max_size=12))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + line + pad + draw(st.sampled_from(["\n", "\r\n"])))
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=_key_files())
+def test_loader_matches_reference_tuple_loader(lines):
+    try:
+        mat, lengths = _ref_load(lines)
+    except KeyFileError as exc:
+        with pytest.raises(KeyFileError) as err:
+            KeySet.from_lines(lines)
+        assert type(err.value) is type(exc)
+        assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
+        return
+    ks = KeySet.from_lines(lines)
+    bits = ks._finite_bits
+    assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+    assert bits.shape == mat.shape and np.array_equal(bits, mat)
+    assert ks._lengths.dtype == np.int64 and np.array_equal(ks._lengths, lengths)
+    assert len(ks) == len(lengths)
+
+
+def test_empty_key_file(tmp_path):
+    path = tmp_path / "keys.txt"
+    path.write_text("# only a comment\n\n")
+    for ks in (KeySet.from_lines([]), load_keys(path)):
+        assert len(ks) == 0
+        assert ks._finite_bits.shape == (0, 0) and ks._lengths.shape == (0,)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1.2.3.256/8", "IPv4 octet 256 exceeds 255"),
+    ("1.2.3.4/33", "prefix length 33 outside 0..32"),
+    ("1.2.3.\u00b2/24", "bad IPv4 octet '\u00b2'"),
+    ("\u0663.2.3.4/8", "bad IPv4 octet '\u0663'"),
+    ("1.2.3.4/+8", "bad prefix length '+8'"),
+    ("1.2.3.4/-0", "bad prefix length '-0'"),
+    ("1.2.3.4/ 8", "bad prefix length ' 8'"),
+    ("1.2.3.4/0_8", "bad prefix length '0_8'"),
+    ("1.2.3.4/" + "9" * 5000, f"bad prefix length '{'9' * 5000}'"),
+    ("1.2.3." + "9" * 5000 + "/8", f"bad IPv4 octet '{'9' * 5000}'"),
+])
+def test_cidr_number_errors_name_the_line(line, message):
+    # past the first two lines, int() would take each number, or fail
+    # without a line number
+    with pytest.raises(KeyFileError) as err:
+        KeySet.from_lines(["0", line])
+    assert err.value.line_no == 2
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_parse_key_line_gives_bit_tuples():
+    assert parse_key_line("10.0.0.0/8") == (0, 0, 0, 0, 1, 0, 1, 0)
+    assert parse_key_line("010.000.0.1/32") == (0, 0, 0, 0, 1, 0, 1, 0) + (0,) * 23 + (1,)
+    assert parse_key_line("0.0.0.0/0") == ()
+    assert parse_key_line("0" * 70 + "1") == (0,) * 70 + (1,)
+    assert parse_key_line("") == ()
+
+
 def test_finite_key_exhaustion():
     ks = KeySet.from_lines(["01", "10"])
     assert ks[0].bit(1) == 1
