@@ -205,7 +205,7 @@ class KeySet:
         packed = b"".join((value << (8 * width - length)).to_bytes(width, "big")
                           for length, value in seen)
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-        mat = np.ascontiguousarray(np.unpackbits(rows, axis=1)[:, :max_len])
+        mat = np.unpackbits(rows, axis=1, count=max_len)
         return cls(params=None, n=n, finite_bits=mat, lengths=lengths,
                    origin=origin)
 
@@ -308,18 +308,16 @@ def load_keys(path) -> KeySet:
 def parse_key_line(line: str, line_no: int = 0) -> tuple[int, ...]:
     """Parse one key file line: either a 0/1 string or "a.b.c.d/len"."""
     length, value = _parse_key(line, line_no)
-    return tuple((value >> i) & 1 for i in range(length - 1, -1, -1))
+    return tuple(map(int, format(value, f"0{length}b"))) if length else ()
 
 
 def _parse_key(line: str, line_no: int) -> tuple[int, int]:
     """(length, value) of one key file line, value holding its bits MSB first."""
     if "/" in line:
         addr, _, plen_s = line.partition("/")
-        plen = _OCTETS.get(plen_s)
+        plen = _decimal(plen_s)
         if plen is None:
-            plen = _decimal(plen_s)
-            if plen is None:
-                raise KeyFileError(f"bad prefix length {plen_s!r}", line_no)
+            raise KeyFileError(f"bad prefix length {plen_s!r}", line_no)
         if plen > 32:
             raise KeyFileError(f"prefix length {plen} outside 0..32", line_no)
         octets = addr.split(".")
@@ -327,13 +325,11 @@ def _parse_key(line: str, line_no: int) -> tuple[int, int]:
             raise KeyFileError(f"bad IPv4 address {addr!r}", line_no)
         value = 0
         for o in octets:
-            v = _OCTETS.get(o)
+            v = _decimal(o)
             if v is None:
-                v = _decimal(o)
-                if v is None:
-                    raise KeyFileError(f"bad IPv4 octet {o!r}", line_no)
-                if v > 255:
-                    raise KeyFileError(f"IPv4 octet {v} exceeds 255", line_no)
+                raise KeyFileError(f"bad IPv4 octet {o!r}", line_no)
+            if v > 255:
+                raise KeyFileError(f"IPv4 octet {v} exceeds 255", line_no)
             value = (value << 8) | v
         return plen, value >> (32 - plen)
     if line.strip("01"):
@@ -341,13 +337,17 @@ def _parse_key(line: str, line_no: int) -> tuple[int, int]:
     return len(line), int(line, 2) if line else 0
 
 
-# the usual spelling of every octet value, looked up before _decimal parses
-_OCTETS = {str(v): v for v in range(256)}
+# the shortest spelling of every octet value: a dict lookup costs about a
+# third of int(), and most of a key file's numbers are of this form
+_SHORTEST = {str(v): v for v in range(256)}
 
 
 def _decimal(text: str) -> int | None:
     """The value of a string of ASCII decimal digits, else None: int() alone
     would also take a sign, spaces, underscores and non-ASCII digits."""
+    value = _SHORTEST.get(text)
+    if value is not None:
+        return value
     if not (text.isascii() and text.isdigit()):
         return None
     try:
