@@ -22,14 +22,9 @@ from .trie import (
     DepthCapError,
     IndistinguishableKeysError,
     LevelProfile,
-    Trie,
-    TrieNode,
     UndefinedFillupError,
     alpha_fillup_level,
-    build,
     count_filled_oracle,
-    external_depth,
-    level_profile,
     tabulate_profile,
 )
 from .lctrie import (

@@ -14,16 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .source import KeySet, KeyExhaustedError
+from .source import KeySet
 from .trie import (
     DEFAULT_DEPTH_CAP,
     DepthCapError,
     IndistinguishableKeysError,
+    _capped_fillup,
     _fillup,
+    _fillup_bound,
     _lcp_counts,
-    _pack_codes,
-    _shared_prefix_codes,
     _sorted_lcp,
+    _word,
 )
 
 __all__ = [
@@ -84,28 +85,6 @@ class StructureStats:
     max_depth: int
 
 
-def _group_fillup(keys: KeySet, ids: np.ndarray, base: int, alpha: float):
-    """Alpha-fillup level of the subtrie spanned by `ids` at bit offset `base`,
-    with the codes and width trie._shared_prefix_codes read to find it."""
-    counts, codes, width = _shared_prefix_codes(keys, ids, base=base,
-                                                stop_below=alpha)
-    return _fillup(counts, alpha), codes, width
-
-
-def _slot_codes(keys, ids, base, consumed, codes, width) -> np.ndarray:
-    """Each key's slot in a node consuming levels base .. base+consumed-1:
-    the top bits of the fillup codes when they reach that far, else read."""
-    if codes is not None and consumed <= width:
-        return codes >> np.uint64(width - consumed)
-    try:
-        return _pack_codes(keys.bit_block(ids, base, consumed))
-    except KeyExhaustedError as exc:
-        raise IndistinguishableKeysError(
-            f"key {exc.key_id} is too short to address a slot spanning levels "
-            f"{base}..{base + consumed - 1}"
-        ) from exc
-
-
 def compress(keys: KeySet, alpha: float,
              depth_cap: int = DEFAULT_DEPTH_CAP) -> AlcTrie:
     """Recursively level-compress the trie over `keys`.
@@ -132,25 +111,26 @@ def compress(keys: KeySet, alpha: float,
         the (start, end, base) of each nested child, is sent that child back,
         and yields the finished node last."""
         inner = lcps[start:end - 1]
-        # a level holds at most m/2 shared prefixes, so none past
-        # log2(m/alpha) - 1 reaches alpha: the levels to `top` decide
-        top = int((end - start) / alpha).bit_length()
+        top = _fillup_bound(end - start, alpha)
         consumed = _fillup(_lcp_counts(inner, base, top), alpha) + 1
         stop = base + consumed
         if stop > depth_cap:
             raise DepthCapError(
-                f"compression exceeded depth cap {depth_cap} at level {base}"
+                f"compression exceeded depth cap {depth_cap} at level {stop}"
             )
         # each child is a run of keys sharing `stop` bits, slotted by its first
         cuts = [start, *(i for i, v in enumerate(inner, start + 1) if v < stop), end]
         children: list = [None] * (1 << consumed)
         for a, b in zip(cuts, cuts[1:]):
-            length = lengths[a]
-            if stop <= 64 and (length is None or length >= stop):
+            if lengths[a] is not None and lengths[a] < stop:
+                raise IndistinguishableKeysError(
+                    f"key {ids[a]} is too short to address a slot spanning "
+                    f"levels {base}..{stop - 1}")
+            if stop <= 64:
                 slot = (words[a] >> (64 - stop)) & ((1 << consumed) - 1)
-            else:  # past the codes, or a finite key too short (which raises)
-                slot = int(_slot_codes(keys, order[a:a + 1], base, consumed,
-                                       None, 0)[0])
+            else:  # past the first word: read the slot's bits
+                slot = int(_word(keys, order[a:a + 1], base, consumed)[0]
+                           ) >> (64 - consumed)
             children[slot] = ids[a] if b - a == 1 else (yield a, b, stop)
         yield AlcNode(consumed=consumed, children=children)
 
@@ -179,7 +159,8 @@ def depth(alc: AlcTrie, key_id: int) -> DepthSample:
     steps = 0
     ids = np.array([key_id], dtype=np.int64)
     while isinstance(node, AlcNode):
-        slot = int(_pack_codes(alc.keyset.bit_block(ids, level, node.consumed))[0])
+        slot = int(_word(alc.keyset, ids, level, node.consumed)[0]
+                   ) >> (64 - node.consumed)
         level += node.consumed
         steps += 1
         node = node.children[slot]
@@ -208,15 +189,22 @@ def designated_depth(keys: KeySet, alpha: float, key_id: int = 0,
     level = 0
     steps = 0
     while len(ids) > 1:
-        fillup, codes, width = _group_fillup(keys, ids, level, alpha)
+        fillup, order, lcp = _capped_fillup(keys, ids, level, alpha)
         consumed = fillup + 1
-        if level + consumed > depth_cap:
-            raise DepthCapError(f"depth walk exceeded depth cap {depth_cap}")
-        codes = _slot_codes(keys, ids, level, consumed, codes, width)
-        # ids stays ascending, so the key's own row is found by bisection
-        own_code = codes[np.searchsorted(ids, key_id)]
-        ids = ids[codes == own_code]
-        level += consumed
+        stop = level + consumed
+        if stop > depth_cap:
+            raise DepthCapError(
+                f"depth walk exceeded depth cap {depth_cap} at level {stop}")
+        if not keys.is_random:
+            short = ids[keys._lengths[ids] < stop]
+            if len(short):
+                raise IndistinguishableKeysError(
+                    f"key {short.min()} is too short to address a slot "
+                    f"spanning levels {level}..{stop - 1}")
+        # the key's child group is its run of the order sharing `consumed` bits
+        run = np.cumsum(np.concatenate(([0], lcp < consumed)))
+        ids = order[run == run[np.flatnonzero(order == key_id)[0]]]
+        level = stop
         steps += 1
     return DepthSample(key_id=key_id, depth=steps, consumed_total=level)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import ModelParams, expected_fill_fraction, predict_level_calibrated
 from .lctrie import designated_depth
 from .source import SourceParams, generate_keys, trial_seed
-from .trie import LevelProfile, alpha_fillup_level, shared_prefix_counts
+from .trie import LevelProfile, _capped_fillup, _level_counts, _sorted_lcp
 
 __all__ = [
     "ExperimentConfig",
@@ -162,9 +162,7 @@ def _fillup_trial(task):
     if n_eff < 2:
         return (trial, n_eff, None)
     keys = generate_keys(SourceParams(params.p, trial_seed(seed, trial)), n_eff)
-    counts = shared_prefix_counts(keys, stop_below=alpha)
-    level = alpha_fillup_level(LevelProfile(np.array(counts, dtype=np.int64)), alpha)
-    return (trial, n_eff, level)
+    return (trial, n_eff, _capped_fillup(keys, None, 0, alpha)[0])
 
 
 def _depth_trial(task):
@@ -180,8 +178,8 @@ def _fractions_trial(task):
     if n_eff < 2:
         return (trial, n_eff, tuple(0.0 for _ in ks))
     keys = generate_keys(SourceParams(params.p, trial_seed(seed, trial)), n_eff)
-    counts = shared_prefix_counts(keys, upto=max(ks))
-    profile = LevelProfile(np.array(counts, dtype=np.int64))
+    top = max(ks)
+    profile = LevelProfile(_level_counts(_sorted_lcp(keys, depth=top)[1], top))
     return (trial, n_eff, tuple(profile.fraction(k) for k in ks))
 
 

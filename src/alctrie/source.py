@@ -279,9 +279,6 @@ class KeySet:
         h = _fmix64_scalar(((key_id << 32) | i) ^ self._s1)
         return int(_fmix64_scalar(h ^ self._s2) < self._cut)
 
-    def bit_column(self, ids: np.ndarray, level: int) -> np.ndarray:
-        return self.bit_block(ids, level, 1)[:, 0]
-
     def bit_matrix(self, upto: int) -> np.ndarray:
         """Bits [0, upto) of every key; convenience for bulk inspection."""
         return self.bit_block(np.arange(self._n, dtype=np.int64), 0, upto)

@@ -4,39 +4,39 @@ A node at level k stands for a k-bit prefix.  A prefix shared by two or more
 keys is a filled (internal) node; a key sits in an external node at the depth
 of its shortest prefix not shared with any other key.
 
-Profiles and compressed tries come from the keys in sorted order plus the
-longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): a profile
-is a difference array over the LCPs, and every subtrie is a contiguous range
-of the order.  `build` makes the explicit trie instead, unary internal nodes
-included, as a second route to the same profiles and external depths.
+No trie is built.  Every quantity is read off the keys in sorted order plus
+the longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): a
+profile is a difference array over the LCPs, and every subtrie is a
+contiguous range of the order.  The alpha-fillup level of m keys is decided
+by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
+random keys reads and sorts only that many bits of each key: `_sorted_lcp`
+takes a cap, leaves keys tied on every bit above it tied, and clips their
+LCPs there.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .source import MAX_BIT_INDEX, KeySet, KeyExhaustedError
+from .source import MAX_BIT_INDEX, KeySet
 
 __all__ = [
-    "Trie",
-    "TrieNode",
     "LevelProfile",
     "IndistinguishableKeysError",
     "DepthCapError",
     "UndefinedFillupError",
-    "build",
-    "level_profile",
     "count_filled_oracle",
     "tabulate_profile",
     "alpha_fillup_level",
-    "external_depth",
 ]
 
 DEFAULT_DEPTH_CAP = 4096
+_PACK_ROWS = 1 << 13     # rows padded to 64 bits at a time by _word
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class IndistinguishableKeysError(ValueError):
@@ -49,49 +49,6 @@ class DepthCapError(RuntimeError):
 
 class UndefinedFillupError(ValueError):
     """The fillup level is undefined (fewer than two keys)."""
-
-
-class TrieNode:
-    """One trie node.  kind is derived: a node holding a key id is external,
-    a node with children is internal, a childless keyless node is empty
-    (only the root of an empty trie)."""
-
-    __slots__ = ("level", "key_id", "zero", "one")
-
-    def __init__(self, level: int, key_id: int | None = None):
-        self.level = level
-        self.key_id = key_id
-        self.zero: "TrieNode | None" = None
-        self.one: "TrieNode | None" = None
-
-    @property
-    def kind(self) -> str:
-        if self.key_id is not None:
-            return "external"
-        if self.zero is not None or self.one is not None:
-            return "internal"
-        return "empty"
-
-    def children(self):
-        if self.zero is not None:
-            yield self.zero
-        if self.one is not None:
-            yield self.one
-
-    def __repr__(self):
-        return f"TrieNode(level={self.level}, kind={self.kind})"
-
-
-@dataclass
-class Trie:
-    root: TrieNode
-    keyset: KeySet
-    height: int
-    external_levels: dict[int, int] = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.keyset)
 
 
 @dataclass
@@ -129,74 +86,6 @@ class LevelProfile:
             yield k, int(self.counts[k]), self.fraction(k)
 
 
-def build(keys: KeySet, depth_cap: int = DEFAULT_DEPTH_CAP) -> Trie:
-    """Build the trie level by level, materializing key bits only as a group
-    of still-undistinguished keys needs them.
-
-    Raises IndistinguishableKeysError when finite keys run out of bits while
-    still sharing a prefix, and DepthCapError past depth_cap levels.
-    """
-    n = len(keys)
-    root = TrieNode(level=0)
-    externals: dict[int, int] = {}
-    if n == 0:
-        return Trie(root=root, keyset=keys, height=0, external_levels=externals)
-    if n == 1:
-        root.key_id = 0
-        externals[0] = 0
-        return Trie(root=root, keyset=keys, height=0, external_levels=externals)
-
-    pending: list[tuple[TrieNode, np.ndarray]] = [(root, np.arange(n, dtype=np.int64))]
-    level = 0
-    height = 0
-    while pending:
-        if level >= depth_cap:
-            raise DepthCapError(
-                f"trie construction exceeded depth cap {depth_cap}; "
-                f"{len(pending)} unresolved groups"
-            )
-        nxt: list[tuple[TrieNode, np.ndarray]] = []
-        for node, ids in pending:
-            try:
-                bits = keys.bit_column(ids, level)
-            except KeyExhaustedError as exc:
-                raise IndistinguishableKeysError(
-                    f"keys {sorted(int(i) for i in ids)} share their first "
-                    f"{level} bits and key {exc.key_id} has no bit {level}"
-                ) from exc
-            for attr, sub in (("zero", ids[bits == 0]), ("one", ids[bits == 1])):
-                if len(sub) == 0:
-                    continue
-                child = TrieNode(level=level + 1)
-                setattr(node, attr, child)
-                if len(sub) == 1:
-                    kid = int(sub[0])
-                    child.key_id = kid
-                    externals[kid] = level + 1
-                    height = max(height, level + 1)
-                else:
-                    nxt.append((child, sub))
-        pending = nxt
-        level += 1
-    return Trie(root=root, keyset=keys, height=height, external_levels=externals)
-
-
-def level_profile(trie: Trie) -> LevelProfile:
-    """Per-level filled counts obtained by walking the built trie."""
-    counts: list[int] = []
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        if node.kind == "internal":
-            while len(counts) <= node.level:
-                counts.append(0)
-            counts[node.level] += 1
-            stack.extend(node.children())
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return LevelProfile(np.array(counts, dtype=np.int64))
-
-
 def count_filled_oracle(keys: KeySet, k: int) -> int:
     """Number of distinct k-bit prefixes occurring on two or more keys, by
     direct tabulation of prefixes.  Reference route, independent of any trie.
@@ -208,84 +97,90 @@ def count_filled_oracle(keys: KeySet, k: int) -> int:
     return sum(1 for c in tally.values() if c >= 2)
 
 
-def _dup_run_count(sorted_arr: np.ndarray) -> int:
-    """Number of runs of length >= 2 in a sorted array: each starts with an
-    equal neighbour pair that follows an unequal one, or the array's start."""
-    eq = sorted_arr[1:] == sorted_arr[:-1]
-    return int(np.count_nonzero(eq[1:] > eq[:-1])) + int(eq[:1].sum())
-
-
-def _pack_codes(bits: np.ndarray) -> np.ndarray:
-    """Pack a (m, w) 0/1 matrix (w <= 64) into uint64 codes, MSB first."""
-    m, w = bits.shape
-    if w > 64:
-        raise ValueError("cannot pack more than 64 bits per code")
-    codes = np.zeros(m, dtype=np.uint64)
-    one = np.uint64(1)
-    for i in range(w):
-        codes <<= one
-        codes |= bits[:, i].astype(np.uint64)
+def _word(keys: KeySet, ids: np.ndarray, start: int, width: int = 64) -> np.ndarray:
+    """Bits start .. start+width-1 (width <= 64) of each key as a uint64, MSB
+    first and zero below; a finite key reads 0 past its end."""
+    block = (keys.bit_block(ids, start, width) if keys.is_random
+             else keys._finite_bits[ids, start:start + width])   # zero padded
+    # packing whole 64-bit rows is several times faster than packing short
+    # ones; a band of rows at a time keeps the padded copy small
+    codes = np.empty(len(ids), dtype=np.uint64)
+    rows = np.zeros((min(len(ids), _PACK_ROWS), 64), dtype=np.uint8)
+    for a in range(0, len(ids), _PACK_ROWS):
+        band = block[a:a + _PACK_ROWS]
+        rows[:len(band), :band.shape[1]] = band
+        codes[a:a + len(band)] = np.packbits(rows[:len(band)]).view(">u8")
     return codes
-
-
-def _word(keys: KeySet, ids: np.ndarray, start: int) -> np.ndarray:
-    """Bits start .. start+63 of each key as a uint64, MSB first; a finite
-    key reads 0 past its end."""
-    bits = (keys.bit_block(ids, start, 64) if keys.is_random
-            else keys._finite_bits[ids, start:start + 64])   # zero padded
-    packed = np.zeros((len(ids), 8), dtype=np.uint8)
-    packed[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1)
-    return packed.view(">u8")[:, 0].astype(np.uint64)
 
 
 def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
     """Leading bits each 64-bit code shares with the next: 64 less the bit
-    length of their XOR, read from the float64 exponents of its 32-bit
-    halves, which are exact."""
+    length of their XOR x.  x & ~(x >> 1) keeps x's top bit and no two
+    adjacent ones, so float64 rounding cannot carry it to the next power of
+    two, and the exponent frexp reads off it is exact."""
     x = ordered[1:] ^ ordered[:-1]
-    hi = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
-    lo = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    return 64 - np.where(hi > 0, hi + 32, lo).astype(np.int64)
+    x &= ~(x >> np.uint64(1))
+    x = x.astype(np.float64)
+    return 64 - np.frexp(x)[1].astype(np.int64)
 
 
-def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
+def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0,
+                depth: int | None = None):
     """The keys `ids` (default all) sorted by their bits from `base` on, with
     the longest common prefix of each adjacent pair: (order, lcp, codes).
 
     A finite key sorts before the keys it is a prefix of.  lcp[i] is the LCP
-    of sorted keys i and i+1; codes[i] packs bits base .. base+63 of key
-    order[i], MSB first, 0 past a finite key's end.  Only runs tied on every
-    word so far read their next 64 bits.  Raises IndistinguishableKeysError
+    of sorted keys i and i+1, counted from `base`; codes[i] packs bits
+    base .. base+63 of key order[i], MSB first, 0 past a finite key's end.
+    Only runs tied on every word so far read their next 64 bits.  With
+    `depth`, no bit at or past base+depth is read: codes hold the first
+    min(depth, 64) bits, keys tied on all `depth` bits keep an arbitrary
+    order, and LCPs are clipped at `depth`.  Raises IndistinguishableKeysError
     when a finite key is a prefix of another, or equal to it.
     """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
-    codes = _word(keys, ids, base)
-    # bits left in each key; random keys run to the largest bit index
-    lengths = (np.full(len(ids), MAX_BIT_INDEX, dtype=np.int64) if keys.is_random
-               else keys._lengths[ids] - base)
-    order = np.lexsort((lengths, codes))
-    ids, codes, lengths = ids[order], codes[order], lengths[order]
-    lcp = _adjacent_lcp(codes)
-    width = 64
+    stop = MAX_BIT_INDEX if depth is None else depth
+    width = min(stop, 64)
+    codes = _word(keys, ids, base, width)
+    # finite keys tied on every bit read break ties by the bits they have
+    # left, so that a key sorts before its extensions; random keys run on
+    lengths = None if keys.is_random else keys._lengths[ids] - base
+    if lengths is not None:
+        order = np.lexsort((lengths, codes))
+        lengths = lengths[order]
+    elif width <= 32:
+        # codes within the top 32 bits sort with each row's position below
+        # them several times faster than by argsort
+        order = np.sort(codes | np.arange(len(ids), dtype=np.uint64)) & _LOW32
+    else:
+        order = np.argsort(codes)
+    order, codes = ids[order], codes[order]
+    lcp = np.minimum(_adjacent_lcp(codes), width)
     tied = np.flatnonzero(lcp == width)
-    while len(tied) and width < lengths[tied + 1].max():
+    while (len(tied) and width < stop
+           and (lengths is None or width < lengths[tied + 1].max())):
         # the rows of the tied runs, re-sorted within each run by their next word
+        step = min(stop - width, 64)
         rows = np.union1d(tied, tied + 1)
         follows = np.isin(rows, tied + 1)
-        word = _word(keys, ids[rows], base + width)
-        perm = np.lexsort((lengths[rows], word, np.cumsum(~follows)))
-        ids[rows], lengths[rows] = ids[rows][perm], lengths[rows][perm]
-        lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]
-        width += 64
+        word = _word(keys, order[rows], base + width, step)
+        runs = (word, np.cumsum(~follows))
+        perm = np.lexsort(runs if lengths is None else (lengths[rows], *runs))
+        order[rows] = order[rows][perm]
+        if lengths is not None:
+            lengths[rows] = lengths[rows][perm]
+        lcp[tied] = width + np.minimum(_adjacent_lcp(word[perm])[follows[1:]], step)
+        width += step
         tied = np.flatnonzero(lcp == width)
-    nested = np.flatnonzero(lcp >= lengths[:-1])   # a key sorts before its extensions
-    if len(nested):
-        i = int(nested[0])
-        raise IndistinguishableKeysError(
-            f"key {ids[i]} is a prefix of key {ids[i + 1]}: they share all "
-            f"{base + lengths[i]} bits of key {ids[i]}")
-    return ids, lcp, codes
+    if lengths is not None:
+        nested = np.flatnonzero(lcp >= lengths[:-1])   # a key sorts before its extensions
+        if len(nested):
+            i = int(nested[0])
+            raise IndistinguishableKeysError(
+                f"key {order[i]} is a prefix of key {order[i + 1]}: they share "
+                f"all {base + lengths[i]} bits of key {order[i]}")
+    return order, lcp, codes
 
 
 def _lcp_counts(lcps: list[int], base: int = 0, top: int | None = None) -> list[int]:
@@ -306,66 +201,39 @@ def _lcp_counts(lcps: list[int], base: int = 0, top: int | None = None) -> list[
     return list(accumulate(diff[:-1]))
 
 
-def shared_prefix_counts(
-    keys: KeySet,
-    ids: np.ndarray | None = None,
-    base: int = 0,
-    stop_below: float | None = None,
-    upto: int | None = None,
-) -> list[int]:
-    """Counts of (base+k)-bit prefixes shared within the group, for k = 0, 1, ...
-
-    Stops after the last nonzero level, or as soon as the filled fraction
-    drops below stop_below, or at level `upto`.  Vectorized over packed
-    prefix codes; used by the simulation paths.
-    """
-    return _shared_prefix_codes(keys, ids, base, stop_below, upto)[0]
+def _level_counts(lcp: np.ndarray, top: int) -> np.ndarray:
+    """_lcp_counts over a whole group's LCPs (counted from its base) at levels
+    0 .. top, in numpy.  A shared k-bit prefix is a maximal run of pairs with
+    LCP >= k, so it is counted by the pairs with LCP >= k, less the adjacent
+    pairs of such pairs."""
+    v = np.minimum(lcp, top)
+    runs = (np.bincount(v, minlength=top + 1)
+            - np.bincount(np.minimum(v[1:], v[:-1]), minlength=top + 1))
+    return np.cumsum(runs[::-1])[::-1]
 
 
-def _shared_prefix_codes(keys, ids=None, base=0, stop_below=None, upto=None):
-    """shared_prefix_counts plus the bits it read: (counts, codes, width).
+def _fillup_bound(m: int, alpha: float) -> int:
+    """The deepest level that decides the alpha-fillup level of m keys,
+    floor(log2(m / alpha)).  A level k holds at most m/2 shared prefixes, so
+    it reaches alpha only if 2**(k+1) <= m/alpha: the fillup level lies
+    below the bound, and the first level under alpha no deeper than it."""
+    return int(m / alpha).bit_length() - 1
 
-    For random keys, codes[j] packs bits base .. base+width-1 of key ids[j],
-    MSB first, in the order of ids.  The codes widen 8, 16, 32, 64 bits as
-    the counts need, and each widening hashes only the new columns, so a
-    fillup level near the root reads few bits.  Counts past 64 bits, and all
-    counts of finite keys (codes None), come from _sorted_lcp.
-    """
-    if ids is None:
-        ids = np.arange(len(keys), dtype=np.int64)
-    counts: list[int] = []
 
-    def take(k: int, x: int) -> bool:
-        """Record level k's count unless it is 0; True once counting ends."""
-        if x == 0:
-            return True
-        counts.append(x)
-        return ((stop_below is not None and x * 2.0**-k < stop_below)
-                or (upto is not None and k >= upto))
-
-    codes, width = None, 0
-    if keys.is_random:
-        codes, width = _pack_codes(keys.bit_block(ids, base, 8)), 8
-        while True:
-            ordered = np.sort(codes)
-            for k in range(len(counts), width + 1):
-                if take(k, _dup_run_count(ordered >> np.uint64(width - k))):
-                    return counts, codes, width
-            if width == 64:
-                break
-            codes <<= np.uint64(width)
-            codes |= _pack_codes(keys.bit_block(ids, base + width, width))
-            width *= 2
-    full = _lcp_counts(_sorted_lcp(keys, ids, base)[1].tolist()) + [0]
-    for k in range(len(counts), len(full)):
-        if take(k, full[k]):
-            break
-    return counts, codes, width
+def _capped_fillup(keys: KeySet, ids: np.ndarray | None, base: int, alpha: float):
+    """Alpha-fillup level of the keys `ids` (default all), which share `base`
+    bits, with their order and LCPs from _sorted_lcp.  Random keys are read
+    down to _fillup_bound only; finite keys are read whole, so that any two
+    nested keys among them raise."""
+    top = _fillup_bound(len(keys) if ids is None else len(ids), alpha)
+    order, lcp = _sorted_lcp(keys, ids, base, top if keys.is_random else None)[:2]
+    return _fillup(_level_counts(lcp, top).tolist(), alpha), order, lcp
 
 
 def tabulate_profile(keys: KeySet) -> LevelProfile:
     """LevelProfile computed from the keys in sorted order, without a trie."""
-    return LevelProfile(_lcp_counts(_sorted_lcp(keys)[1].tolist()))
+    lcp = _sorted_lcp(keys)[1]
+    return LevelProfile(_level_counts(lcp, int(lcp.max(initial=-1))))
 
 
 def alpha_fillup_level(profile: LevelProfile, alpha: float) -> int:
@@ -393,11 +261,3 @@ def _fillup(counts, alpha: float) -> int:
             break
         level = k
     return level
-
-
-def external_depth(trie: Trie, key_id: int) -> int:
-    """Depth of the external node holding key_id."""
-    try:
-        return trie.external_levels[key_id]
-    except KeyError:
-        raise KeyError(f"unknown key id {key_id}") from None

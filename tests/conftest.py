@@ -53,6 +53,18 @@ def ref_external_depths(tuples: list[tuple]) -> list[int]:
     return out
 
 
+def ref_key0_external_depth(keys: KeySet) -> int:
+    """Depth of key 0's external node, by following its bits one level at a
+    time until no other key shares them."""
+    ids = np.arange(len(keys), dtype=np.int64)
+    level = 0
+    while len(ids) > 1:
+        bits = keys.bit_block(ids, level, 1)[:, 0]
+        ids = ids[bits == keys[0].bit(level)]
+        level += 1
+    return level
+
+
 def ref_lpm(keys: KeySet, query: tuple):
     """Linear-scan longest-prefix-match oracle: (best id, match length)."""
     best_id, best_len = None, -1

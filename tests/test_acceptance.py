@@ -31,9 +31,10 @@ from alctrie.montecarlo import (
     total_variation,
 )
 from alctrie.source import SourceParams, generate_keys, trial_seed
-from alctrie.trie import build, count_filled_oracle, level_profile
+from alctrie.trie import count_filled_oracle, tabulate_profile
 
-from conftest import ACCEPTANCE_LINES, ref_lpm, random_queries
+from conftest import (ACCEPTANCE_LINES, ref_key0_external_depth, ref_lpm,
+                      random_queries)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -53,7 +54,7 @@ def test_c01_oracle_equivalence_profiles_and_lpm():
         p = ps[i % 3]
         n = [0, 1][i % 2] if i < 4 else 2 + int(rng.integers(0, 255))
         keys = generate_keys(SourceParams(p, 9000 + i), n)
-        prof = level_profile(build(keys))
+        prof = tabulate_profile(keys)
         for k in range(len(prof) + 2):
             assert prof.count(k) == count_filled_oracle(keys, k)
             profile_checks += 1
@@ -181,19 +182,6 @@ def test_c08_fixed_vs_poisson_closeness():
            f"{worst:.4f} <= 0.02 for k <= 40")
 
 
-def _key0_external_depth(keys) -> int:
-    n = len(keys)
-    if n <= 1:
-        return 0
-    ids = np.arange(n, dtype=np.int64)
-    level = 0
-    while len(ids) > 1:
-        bits = keys.bit_column(ids, level)
-        ids = ids[bits == keys[0].bit(level)]
-        level += 1
-    return level
-
-
 def test_c09_depth_growth_and_invariant():
     means = {}
     violations = 0
@@ -204,7 +192,7 @@ def test_c09_depth_growth_and_invariant():
         means[n] = summary.mean
         for t, _, d, consumed in summary.rows:
             keys = generate_keys(SourceParams(0.7, trial_seed(config.seed, t)), n)
-            ext = _key0_external_depth(keys)
+            ext = ref_key0_external_depth(keys)
             if not (d <= ext <= consumed):
                 violations += 1
     ratios = [means[n] / math.log2(n) for n in (2**8, 2**12, 2**16)]

@@ -118,7 +118,7 @@ def test_jobs_do_not_change_output(capsys):
 
 @pytest.mark.parametrize("p, alpha", [(0.5, 0.25), (0.7, 0.5), (0.9, 0.75)])
 def test_jobs_do_not_change_output_with_widened_codes(capsys, p, alpha):
-    # 1024 keys: at small alpha the root's fillup counting widens past 8 bits
+    # 1024 keys: at small alpha the root reads and sorts more than 8 bits
     for command in ("sim-depth", "sim-fillup"):
         base = (command, "--n", "1024", "--p", str(p), "--alpha", str(alpha),
                 "--trials", "6", "--seed", "21")
@@ -230,7 +230,7 @@ def test_build_long_shared_prefix(tmp_path, capsys):
     code, out, err = run_cli(capsys, "build", "--keys", str(keys),
                              "--alpha", "0.5")
     assert (code, out) == (1, "")
-    assert err == "error: compression exceeded depth cap 4096 at level 4096\n"
+    assert err == "error: compression exceeded depth cap 4096 at level 4098\n"
 
 
 def test_help_documents_every_flag():

@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from alctrie.lctrie import (
     AlcNode,
     AlcTrie,
-    _group_fillup,
     compress,
     depth,
     designated_depth,
@@ -16,14 +14,16 @@ from alctrie.lctrie import (
     match_length,
     structure_stats,
 )
-from alctrie.source import KeySet, SourceParams, generate_keys
+from alctrie.analysis import ModelParams
+from alctrie.montecarlo import ExperimentConfig, simulate_fillup
+from alctrie.source import KeySet, SourceParams, generate_keys, trial_seed
 from alctrie.trie import (
     IndistinguishableKeysError,
-    _shared_prefix_codes,
-    build,
+    _capped_fillup,
+    _level_counts,
+    _sorted_lcp,
+    alpha_fillup_level,
     count_filled_oracle,
-    external_depth,
-    shared_prefix_counts,
     tabulate_profile,
 )
 
@@ -112,13 +112,11 @@ def test_compress_matches_reference(n, p, alpha, seed):
     assert same_structure(alc.root, ref)
     # leaf multiset preserved
     assert sorted(leaf_ids(alc.root)) == list(range(n))
-    trie = build(ks)
     for node in all_nodes(alc.root):
         assert node.consumed >= 1
         assert len(node.children) == 1 << node.consumed
-    for i in range(n):
+    for i, ext in enumerate(ref_external_depths(tuples)):
         ds = depth(alc, i)
-        ext = external_depth(trie, i)
         assert ds.depth <= ext <= ds.consumed_total
         if ds.consumed_total == ds.depth:
             # every step consumed one level, squeezing depth onto ext;
@@ -129,12 +127,9 @@ def test_compress_matches_reference(n, p, alpha, seed):
 
 def test_full_alpha_reduces_to_classic_level_compression():
     # with alpha = 1 each node consumes (classic fillup level of its group) + 1
-    from alctrie.trie import alpha_fillup_level, level_profile
-
     ks = generate_keys(SourceParams(0.7, 8080), 40)
     alc = compress(ks, 1.0)
-    trie = build(ks)
-    classic = alpha_fillup_level(level_profile(trie), 1.0)
+    classic = alpha_fillup_level(tabulate_profile(ks), 1.0)
     assert alc.root.consumed == classic + 1
 
 
@@ -150,7 +145,7 @@ def test_root_fillup_monotone_in_alpha():
     for seed in (1, 2, 3, 4, 5):
         ks = generate_keys(SourceParams(0.7, seed), 256)
         ids = np.arange(256)
-        levels = [_group_fillup(ks, ids, 0, a)[0]
+        levels = [_capped_fillup(ks, ids, 0, a)[0]
                   for a in (0.1, 0.25, 0.5, 0.75, 1.0)]
         assert levels == sorted(levels, reverse=True)
 
@@ -185,8 +180,12 @@ def test_structure_stats_consistency():
 
 def test_compress_needs_slot_bits():
     # key "0" is unique at level 1 but cannot address a 2-bit slot
-    with pytest.raises(IndistinguishableKeysError):
+    short = r"^key 0 is too short to address a slot spanning levels 0\.\.1$"
+    with pytest.raises(IndistinguishableKeysError, match=short):
         compress(keys_from("0", "10", "11"), 0.5)
+    for key_id in range(3):
+        with pytest.raises(IndistinguishableKeysError, match=short):
+            designated_depth(keys_from("0", "10", "11"), 0.5, key_id)
     # with alpha > 1/2 the root consumes a single level and all is well
     alc = compress(keys_from("0", "10", "11"), 0.75)
     assert alc.root.consumed == 1
@@ -274,42 +273,75 @@ def test_depth_sample_fields():
     assert sample.consumed_total >= sample.depth
 
 
-# -- groups whose fillup counting widens its packed codes past 8 bits --------
+# -- structures and depths of 4,096 keys against the reference ---------------
 
 WIDE_N = 2**12
-# (p, alpha) whose designated-depth walks over WIDE_N keys at seed 4242 widen
-# some group's codes; at p = 0.9 with alpha >= 0.5, and at p = 0.7 with
-# alpha = 1, no group of that size fills 8 levels, so those cases check the
-# 8-bit path
-WIDENS = {(0.5, 0.25), (0.5, 0.5), (0.5, 1.0), (0.7, 0.25), (0.7, 0.5),
-          (0.9, 0.25)}
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
-def test_widened_codes_give_reference_structure_and_depths(p, alpha, monkeypatch):
-    widths = []
-
-    def recording(*args, **kwargs):
-        result = _shared_prefix_codes(*args, **kwargs)
-        widths.append(result[2])
-        return result
-
-    monkeypatch.setattr("alctrie.lctrie._shared_prefix_codes", recording)
+def test_widened_codes_give_reference_structure_and_depths(p, alpha):
     ks, _, tuples = finite_from_random(p, 4242, WIDE_N, width=256)
     alc = compress(ks, alpha)
     assert same_structure(alc.root, ref_compress(list(enumerate(tuples)), alpha))
     for k in (0, 1, 517, WIDE_N - 1):
         assert designated_depth(ks, alpha, k) == depth(alc, k)
-    assert (max(widths) > 8) == ((p, alpha) in WIDENS)
 
 
-def test_widening_happens_at_the_root():
-    # the root's fillup counting of 1024 keys at p = 0.5 runs past 8 bits
-    ks = generate_keys(SourceParams(0.5, 4242), 2**10)
-    ids = np.arange(2**10)
-    fillup, _, width = _group_fillup(ks, ids, 0, 0.25)
-    assert fillup >= 8 and width > 8
+# -- the fillup bound: a group reads only the levels that decide it ----------
+
+def _pairing_seed(n: int) -> int:
+    """The first seed whose n = 2**(k+1) keys at p = 0.5 fill level k with
+    2**k pairs, so that for alpha in (1/2, 1] the fillup level is k, the
+    deepest the bound allows, and some pair stays together past level k."""
+    k = n.bit_length() - 2
+    for seed in range(10_000):
+        counts = tabulate_profile(
+            generate_keys(SourceParams(0.5, trial_seed(seed, 0)), n)).counts
+        if len(counts) > k + 1 and counts[k] == 2**k:
+            return seed
+    raise AssertionError(f"no pairing seed for n = {n}")
+
+
+@pytest.mark.parametrize("p, n, alpha, seed", [
+    (0.5, 4, 1.0, None), (0.5, 8, 1.0, None),      # fillup at the bound
+    (0.5, 8, 0.75, None),
+    (0.7, 1000, 0.1, 5), (0.7, 1000, 0.3, 6),      # n / alpha inexact
+    (0.7, 4096, 0.01, 7),
+    (0.03, 48, 0.5, 8), (0.97, 48, 0.25, 9),       # walks past bit 64
+])
+def test_groups_read_no_bits_past_the_fillup_bound(p, n, alpha, seed,
+                                                   monkeypatch):
+    tight = seed is None
+    if tight:
+        seed = _pairing_seed(n)
+    keys = generate_keys(SourceParams(p, trial_seed(seed, 0)), n)
+    probes = range(n) if n <= 64 else (0, 1, n // 2, n - 1)
+    reads = []
+    block = KeySet.bit_block
+
+    def recording(self, ids, start, width):
+        reads.append((len(ids), width))
+        return block(self, ids, start, width)
+
+    monkeypatch.setattr(KeySet, "bit_block", recording)
+    if alpha < 1:   # the model, and so sim-fillup, takes alpha below 1
+        config = ExperimentConfig(params=ModelParams(p=p, alpha=alpha, n=n),
+                                  trials=1, seed=seed)
+        level = simulate_fillup(config).rows[0][2]
+    else:
+        level = _capped_fillup(keys, None, 0, alpha)[0]
+    walks = [designated_depth(keys, alpha, i) for i in probes]
+    monkeypatch.undo()
+    # a group of m keys reads at most floor(log2(m / alpha)) bits of each
+    assert reads and all(w <= int(m / alpha).bit_length() - 1 for m, w in reads)
+    assert level == alpha_fillup_level(tabulate_profile(keys), alpha)
+    if tight:
+        assert level + 1 == int(n / alpha).bit_length() - 1
+    alc = compress(keys, alpha)
+    assert walks == [depth(alc, i) for i in probes]
+    if p in (0.03, 0.97):
+        assert max(w.consumed_total for w in walks) > 64
 
 
 def test_depth_raises_when_keys_do_not_match_the_trie():
@@ -401,7 +433,10 @@ def test_skewed_sources_match_oracles_past_64_bits():
     def check(n, p, alpha, seed):
         ks, finite, tuples = finite_from_random(p, seed, n, width=512)
         prof = assert_profile(ks, finite)
-        assert shared_prefix_counts(ks) == prof.counts.tolist()
+        # counts capped at the deepest shared level, read past bit 64
+        top = len(prof) - 1
+        assert _level_counts(_sorted_lcp(ks, depth=top)[1], top).tolist() == \
+            prof.counts.tolist()
         ref = ref_compress(list(enumerate(tuples)), alpha)
         assert same_structure(compress(ks, alpha).root, ref)
         deepest.append(len(prof) - 1)   # the largest LCP of two keys
@@ -438,7 +473,8 @@ def test_nested_prefixes_are_rejected_naming_both_keys(n, seed, data):
                                                       min_size=1, max_size=8)))
     lines.insert(data.draw(st.integers(0, n)), nested)
     keys = KeySet.from_lines(lines)
-    for route in (tabulate_profile, lambda ks: compress(ks, 0.5)):
+    for route in (tabulate_profile, lambda ks: compress(ks, 0.5),
+                  lambda ks: designated_depth(ks, 0.5, 0)):
         with pytest.raises(IndistinguishableKeysError) as err:
             route(keys)
         a, b, shared = map(int, re.fullmatch(
@@ -446,6 +482,18 @@ def test_nested_prefixes_are_rejected_naming_both_keys(n, seed, data):
             r"of key \1", str(err.value)).groups())
         assert lines.index(nested) in (a, b)
         assert lines[b].startswith(lines[a]) and len(lines[a]) == shared
+
+
+def test_deep_nested_pair_off_the_walk_is_rejected():
+    # keys 2 and 3 nest 71 bits down, far past the 3 levels that decide the
+    # fillup of 4 keys at alpha = 0.5, and off key 0's path; finite keys are
+    # read whole, so key 0's walk rejects them at the root all the same
+    keys = KeySet.from_lines(["00", "01", "1" + "0" * 70, "1" + "0" * 70 + "1"])
+    for route in (tabulate_profile, lambda ks: compress(ks, 0.5),
+                  lambda ks: designated_depth(ks, 0.5, 0)):
+        with pytest.raises(IndistinguishableKeysError, match=(
+                r"^key 2 is a prefix of key 3: they share all 71 bits of key 2$")):
+            route(keys)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])

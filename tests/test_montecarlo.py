@@ -19,7 +19,8 @@ from alctrie.montecarlo import (
     total_variation,
 )
 from alctrie.source import SourceParams, generate_keys, trial_seed
-from alctrie.trie import external_depth, build
+
+from conftest import ref_key0_external_depth
 
 
 def config(p=0.7, alpha=0.5, n=None, lam=None, trials=50, seed=1234, jobs=1):
@@ -109,8 +110,7 @@ def test_depth_bounded_by_uncompressed_depth():
     summary = simulate_depth(cfg)
     for t, n, d, consumed in summary.rows:
         keys = generate_keys(SourceParams(0.7, trial_seed(cfg.seed, t)), n)
-        trie = build(keys)
-        assert d <= external_depth(trie, 0) <= consumed
+        assert d <= ref_key0_external_depth(keys) <= consumed
         full = depth(compress(keys, 0.5), 0)
         assert (d, consumed) == (full.depth, full.consumed_total)
 

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alctrie.lctrie import compress, depth, designated_depth
 from alctrie.source import KeySet, SourceParams, generate_keys
 from alctrie.trie import (
     DepthCapError,
     IndistinguishableKeysError,
     LevelProfile,
     UndefinedFillupError,
-    _pack_codes,
-    _shared_prefix_codes,
+    _capped_fillup,
+    _level_counts,
+    _sorted_lcp,
     alpha_fillup_level,
-    build,
     count_filled_oracle,
-    external_depth,
-    level_profile,
-    shared_prefix_counts,
     tabulate_profile,
 )
 
@@ -26,53 +24,58 @@ def keys_from(*lines):
     return KeySet.from_lines(lines)
 
 
+def core_external_depths(keys) -> list[int]:
+    """Each key's external depth read off the sorted order: one more than
+    the larger LCP with its neighbours (0 for a lone key)."""
+    order, lcp, _ = _sorted_lcp(keys)
+    if len(order) < 2:
+        return [0] * len(order)
+    depths = np.empty(len(order), dtype=np.int64)
+    depths[order] = np.maximum(np.append(lcp, -1), np.insert(lcp, 0, -1)) + 1
+    return depths.tolist()
+
+
 def test_two_keys_differing_at_bit_zero():
-    trie = build(keys_from("0", "1"))
-    assert trie.root.kind == "internal"
-    assert trie.root.zero.kind == "external" and trie.root.one.kind == "external"
-    assert trie.root.zero.level == 1 and trie.root.one.level == 1
-    assert level_profile(trie).counts.tolist() == [1]
-    assert level_profile(trie).fraction(0) == 1.0
+    ks = keys_from("0", "1")
+    prof = tabulate_profile(ks)
+    # the root is filled and both keys are external at level 1
+    assert prof.counts.tolist() == [1]
+    assert prof.fraction(0) == 1.0 and prof.count(1) == 0
+    assert core_external_depths(ks) == ref_external_depths([(0,), (1,)]) == [1, 1]
 
 
 def test_four_two_bit_prefixes():
-    trie = build(keys_from("00", "01", "10", "11"))
-    prof = level_profile(trie)
-    assert prof.counts.tolist() == [1, 2]
-    assert {external_depth(trie, i) for i in range(4)} == {2}
+    ks = keys_from("00", "01", "10", "11")
+    assert tabulate_profile(ks).counts.tolist() == [1, 2]
+    assert core_external_depths(ks) == [2, 2, 2, 2]
 
 
 def test_single_key_trie():
-    trie = build(generate_keys(SourceParams(0.5, 3), 1))
-    assert trie.root.kind == "external"
-    assert trie.root.level == 0
-    assert external_depth(trie, 0) == 0
-    assert len(level_profile(trie)) == 0
+    ks = generate_keys(SourceParams(0.5, 3), 1)
+    # the lone key is the root: nothing is filled, the key sits at depth 0
+    assert len(tabulate_profile(ks)) == 0
+    assert core_external_depths(ks) == [0]
 
 
 def test_empty_keyset():
-    trie = build(generate_keys(SourceParams(0.5, 3), 0))
-    assert trie.root.kind == "empty"
-    assert len(level_profile(trie)) == 0
+    ks = generate_keys(SourceParams(0.5, 3), 0)
+    assert len(tabulate_profile(ks)) == 0
+    assert core_external_depths(ks) == []
 
 
 def test_three_key_profile():
-    trie = build(keys_from("00", "01", "1"))
-    prof = level_profile(trie)
+    ks = keys_from("00", "01", "1")
+    prof = tabulate_profile(ks)
     assert prof.counts.tolist() == [1, 1]
     assert prof.fraction(1) == 0.5
-    assert external_depth(trie, 0) == 2
-    assert external_depth(trie, 1) == 2
-    assert external_depth(trie, 2) == 1
+    assert core_external_depths(ks) == [2, 2, 1]
 
 
 def test_unary_internal_nodes_are_explicit():
-    # keys share bit 0, so level 1 holds a unary internal node
-    trie = build(keys_from("00", "01"))
-    assert trie.root.kind == "internal"
-    assert trie.root.one is None
-    assert trie.root.zero.kind == "internal"
-    assert level_profile(trie).counts.tolist() == [1, 1]
+    # keys share bit 0, so level 1 holds a unary filled node: the prefix "0"
+    ks = keys_from("00", "01")
+    assert tabulate_profile(ks).counts.tolist() == [1, 1]
+    assert core_external_depths(ks) == [2, 2]
 
 
 def test_count_filled_oracle_root():
@@ -84,7 +87,7 @@ def test_count_filled_oracle_root():
 
 def test_oracle_matches_profile_on_seeded_instance():
     ks = generate_keys(SourceParams(0.7, 424242), 64)
-    prof = level_profile(build(ks))
+    prof = tabulate_profile(ks)
     for k in range(17):
         assert prof.count(k) == count_filled_oracle(ks, k)
 
@@ -97,10 +100,7 @@ def test_oracle_matches_profile_on_seeded_instance():
 )
 def test_profile_routes_agree(n, p, seed):
     ks = generate_keys(SourceParams(p, seed), n)
-    trie = build(ks)
-    prof = level_profile(trie)
-    tab = tabulate_profile(ks)
-    assert prof.counts.tolist() == tab.counts.tolist()
+    prof = tabulate_profile(ks)
     for k in range(len(prof) + 2):
         assert prof.count(k) == count_filled_oracle(ks, k)
     # monotone fractions, external count, depth oracle
@@ -108,25 +108,19 @@ def test_profile_routes_agree(n, p, seed):
     assert all(1.0 >= a >= b >= 0.0 for a, b in zip(fr, fr[1:] + [0.0]))
     counts = prof.counts
     assert all(counts[k + 1] <= 2 * counts[k] for k in range(len(counts) - 1))
-    assert len(trie.external_levels) == n
+    depths = core_external_depths(ks)
+    assert len(depths) == n
     if n >= 1:
-        width = trie.height + 1
-        tuples = [ks[i].prefix(width) for i in range(n)]
-        assert [external_depth(trie, i) for i in range(n)] == \
-            ref_external_depths(tuples)
-
-
-def test_external_depth_unknown_id():
-    trie = build(keys_from("0", "1"))
-    with pytest.raises(KeyError):
-        external_depth(trie, 5)
+        # every key is unique one level past the deepest filled one
+        tuples = [ks[i].prefix(len(prof) + 2) for i in range(n)]
+        assert depths == ref_external_depths(tuples)
 
 
 def test_alpha_fillup_examples():
-    prof2 = level_profile(build(keys_from("0", "1")))
+    prof2 = tabulate_profile(keys_from("0", "1"))
     for alpha in (0.01, 0.25, 0.5, 1.0):
         assert alpha_fillup_level(prof2, alpha) == 0
-    prof4 = level_profile(build(keys_from("00", "01", "10", "11")))
+    prof4 = tabulate_profile(keys_from("00", "01", "10", "11"))
     assert alpha_fillup_level(prof4, 1.0) == 1
 
 
@@ -149,7 +143,7 @@ def test_alpha_fillup_classic_case_is_max_full_level():
 def test_alpha_fillup_undefined_for_small_n():
     with pytest.raises(UndefinedFillupError):
         alpha_fillup_level(LevelProfile(np.array([], dtype=np.int64)), 0.5)
-    prof1 = level_profile(build(generate_keys(SourceParams(0.5, 3), 1)))
+    prof1 = tabulate_profile(generate_keys(SourceParams(0.5, 3), 1))
     with pytest.raises(UndefinedFillupError):
         alpha_fillup_level(prof1, 0.5)
     with pytest.raises(ValueError):
@@ -158,54 +152,62 @@ def test_alpha_fillup_undefined_for_small_n():
 
 def test_indistinguishable_keys_error():
     with pytest.raises(IndistinguishableKeysError):
-        build(keys_from("0", "01"))
+        tabulate_profile(keys_from("0", "01"))
 
 
 def test_short_but_unique_keys_build_fine():
-    trie = build(keys_from("0", "10", "11"))
-    assert external_depth(trie, 0) == 1
-    assert external_depth(trie, 1) == 2
-    assert level_profile(trie).counts.tolist() == [1, 1]
+    ks = keys_from("0", "10", "11")
+    assert core_external_depths(ks) == [1, 2, 2]
+    assert tabulate_profile(ks).counts.tolist() == [1, 1]
 
 
 def test_depth_cap():
-    lines = ["0" * 50 + "0", "0" * 50 + "1"]
-    with pytest.raises(DepthCapError):
-        build(KeySet.from_lines(lines), depth_cap=16)
-    trie = build(KeySet.from_lines(lines), depth_cap=64)
-    assert external_depth(trie, 0) == 51
+    # two keys sharing 50 bits: at alpha = 1 every node consumes one level,
+    # so the node ending at level 17 breaks a cap of 16
+    ks = KeySet.from_lines(["0" * 50 + "0", "0" * 50 + "1"])
+    with pytest.raises(DepthCapError,
+                       match=r"^compression exceeded depth cap 16 at level 17$"):
+        compress(ks, 1.0, depth_cap=16)
+    with pytest.raises(DepthCapError,
+                       match=r"^depth walk exceeded depth cap 16 at level 17$"):
+        designated_depth(ks, 1.0, 0, depth_cap=16)
+    alc = compress(ks, 1.0, depth_cap=64)
+    assert depth(alc, 0) == designated_depth(ks, 1.0, 0, depth_cap=64)
+    assert depth(alc, 0).consumed_total == 51
+    assert core_external_depths(ks) == [51, 51]
 
 
 def test_shared_prefix_counts_early_stop_matches_full():
-    ks = generate_keys(SourceParams(0.7, 5150), 200)
-    full = shared_prefix_counts(ks)
-    for alpha in (0.25, 0.5, 0.9):
-        stopped = shared_prefix_counts(ks, stop_below=alpha)
-        assert stopped == full[: len(stopped)]
-        f_full = alpha_fillup_level(LevelProfile(np.array(full)), alpha)
-        f_stop = alpha_fillup_level(LevelProfile(np.array(stopped)), alpha)
-        assert f_full == f_stop
+    # a sort capped at `top` bits gives the full sort's LCPs clipped there
+    # (keys tied on all `top` bits may come in any order), and so the full
+    # profile's counts cut at `top`
+    # (at p = 0.97 keys tie past bit 64, and a cap of 70 cuts the second word)
+    for ks in (generate_keys(SourceParams(0.7, 5150), 200),
+               generate_keys(SourceParams(0.97, 5150), 64)):
+        full_lcp = _sorted_lcp(ks)[1]
+        full = tabulate_profile(ks).counts.tolist()
+        for top in (0, 1, 7, 17, 64, 70, len(full) - 1, len(full) + 5):
+            lcp = _sorted_lcp(ks, depth=top)[1]
+            assert sorted(lcp.tolist()) == sorted(np.minimum(full_lcp, top).tolist())
+            capped = _level_counts(lcp, top).tolist()
+            assert capped == (full + [0] * (top + 1))[:top + 1]
+        for alpha in (0.25, 0.5, 0.9):
+            assert (_capped_fillup(ks, None, 0, alpha)[0]
+                    == alpha_fillup_level(tabulate_profile(ks), alpha))
 
 
 def test_shared_prefix_counts_on_finite_subset():
-    _, finite, tuples = finite_from_random(0.6, 909, 32)
-    got = shared_prefix_counts(finite)
-    want = shared_prefix_counts(generate_keys(SourceParams(0.6, 909), 32))
-    assert got == want
+    # a finite copy of random keys, read whole, gives the profile and fillup
+    # levels of the random keys, which are read down to the fillup bound only
+    random, finite, _ = finite_from_random(0.6, 909, 32)
+    assert tabulate_profile(finite).counts.tolist() == \
+        tabulate_profile(random).counts.tolist()
+    for alpha in (0.1, 0.5, 1.0):
+        assert _capped_fillup(finite, None, 0, alpha)[0] == \
+            _capped_fillup(random, None, 0, alpha)[0]
 
 
 def test_profile_csv_rows():
-    prof = level_profile(build(keys_from("00", "01", "10", "11")))
+    prof = tabulate_profile(keys_from("00", "01", "10", "11"))
     rows = list(prof.csv_rows())
     assert rows == [(0, 1, 1.0), (1, 2, 1.0)]
-
-
-@pytest.mark.parametrize("p, base", [(0.5, 0), (0.7, 3), (0.9, 40)])
-def test_widened_codes_are_the_packed_bits(p, base):
-    # each widening shifts new columns into the codes; the result must be the
-    # bits base .. base+width-1 packed in one go, in the order of ids
-    ks = generate_keys(SourceParams(p, 31), 2**10)
-    ids = np.arange(2**10)[::-1].copy()
-    _, codes, width = _shared_prefix_codes(ks, ids, base=base)
-    assert width > 8
-    assert (codes == _pack_codes(ks.bit_block(ids, base, width))).all()
