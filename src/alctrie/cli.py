@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=_parse_range, required=True,
                     help="level range a..b (inclusive) or a single level")
     sp.add_argument("--alpha", type=_probability, default=0.5,
-                    help="fraction recorded in the output rows (no effect on "
-                         "the expectation itself)")
+                    help="fraction in (0, 1) recorded in the output rows (no "
+                         "effect on the expectation itself)")
     _add_format_flag(sp)
 
     sp = subs.add_parser("sim-fillup",
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--queries", required=True,
                     help="query file, same formats as the key file")
     sp.add_argument("--alpha", type=_probability, default=1.0,
-                    help="compression fraction (default 1.0)")
+                    help="compression fraction in (0, 1] (default 1.0)")
     _add_format_flag(sp)
     return parser
 
@@ -137,8 +137,17 @@ def _model_params(args, *, alpha=None) -> ModelParams:
         # sim-depth has no --lambda flag
         need = "exactly one of --n and --lambda is" if hasattr(args, "lam") else "--n is"
         raise SystemExit(_usage_error(f"{need} required"))
-    return ModelParams(p=args.p, alpha=alpha if alpha is not None else args.alpha,
-                       n=n, lam=lam)
+    alpha = alpha if alpha is not None else args.alpha
+    _check_fraction("--p", args.p)
+    _check_fraction("--alpha", alpha)
+    return ModelParams(p=args.p, alpha=alpha, n=n, lam=lam)
+
+
+def _check_fraction(flag: str, value: float, *, closed: bool = False):
+    """A usage error unless value lies in (0, 1), or in (0, 1] if closed."""
+    if not (0.0 < value < 1.0 or closed and value == 1.0):
+        domain = "in (0, 1]" if closed else "strictly in (0, 1)"
+        raise SystemExit(_usage_error(f"{flag} must lie {domain}, got {value}"))
 
 
 def _usage_error(message: str) -> int:
@@ -242,6 +251,7 @@ def _cmd_sim_depth(args, out):
 
 
 def _cmd_build(args, out):
+    _check_fraction("--alpha", args.alpha, closed=True)
     keys = load_keys(args.keys)
     trie = compress(keys, args.alpha)
     stats = structure_stats(trie)
@@ -268,6 +278,7 @@ def _cmd_build(args, out):
 
 
 def _cmd_query(args, out):
+    _check_fraction("--alpha", args.alpha, closed=True)
     keys = load_keys(args.keys)
     trie = compress(keys, args.alpha)
     answers = []

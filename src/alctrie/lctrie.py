@@ -1,5 +1,5 @@
-"""Recursive partial-fillup level compression, search depth, and longest
-prefix matching.
+"""Partial-fillup level compression built level by level, search depth, and
+longest prefix matching.
 
 Compression replaces the top of each subtrie, down to one level past its
 alpha-fillup level, by a single multi-way node whose children are indexed by
@@ -20,9 +20,8 @@ from .trie import (
     DepthCapError,
     IndistinguishableKeysError,
     _capped_fillup,
-    _fillup,
     _fillup_bound,
-    _lcp_counts,
+    _level_counts,
     _sorted_lcp,
     _word,
 )
@@ -87,13 +86,14 @@ class StructureStats:
 
 def compress(keys: KeySet, alpha: float,
              depth_cap: int = DEFAULT_DEPTH_CAP) -> AlcTrie:
-    """Recursively level-compress the trie over `keys`.
+    """Level-compress the trie over `keys`, one node depth at a time.
 
     Each group of two or more keys contributes a compressed node consuming
     F+1 levels, F being the group's own alpha-fillup level; its slots are the
     (F+1)-bit extensions.  Finite keys must carry enough bits to address the
     slot of every compressed node on their path, otherwise the construction
-    raises (keys are never padded).
+    raises (keys are never padded).  Of several such faults and nodes past
+    depth_cap, the one a depth-first build meets first is raised.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -101,53 +101,64 @@ def compress(keys: KeySet, alpha: float,
     if n < 2:
         return AlcTrie(keyset=keys, alpha=alpha, root=0 if n else None)
     order, lcp, codes = _sorted_lcp(keys)
-    # Python lists: each node reads a few entries, where numpy indexing costs most
-    ids, lcps, words = order.tolist(), lcp.tolist(), codes.tolist()
-    lengths = [None] * n if keys.is_random else keys._lengths[order].tolist()
-
-    def node(start: int, end: int, base: int):
-        """Build the node over sorted keys start .. end-1, which share `base`
-        bits; every group is such a range of trie._sorted_lcp's order.  Yields
-        the (start, end, base) of each nested child, is sent that child back,
-        and yields the finished node last."""
-        inner = lcps[start:end - 1]
-        top = _fillup_bound(end - start, alpha)
-        consumed = _fillup(_lcp_counts(inner, base, top), alpha) + 1
+    lcp = np.append(lcp, -1)
+    lengths = None if keys.is_random else keys._lengths[order]
+    need = alpha * np.exp2(np.arange(_fillup_bound(n, alpha) + 1))  # alpha * 2**k
+    # a wave is the groups at one node depth, runs of the order positions
+    # `pos`; group g has size[g] keys sharing base[g] bits and fills spots[g]
+    root = [None]
+    pos, size, base = np.arange(n), np.array([n]), np.zeros(1, np.int64)
+    spots, error = [(root, 0)], None
+    while len(size):
+        rows = np.arange(len(size)).repeat(size)
+        # a group's last key shares under `base` bits with the next: -1 ends it
+        rel = np.maximum(lcp[pos] - base[rows], -1)
+        # a group's first level under alpha is within its own fillup bound,
+        # so counting every group to the largest group's bound is exact
+        top = _fillup_bound(int(np.maximum.reduce(size)), alpha)
+        consumed = (_level_counts(rel, top, rows) >= need[:top + 1]).argmin(axis=1)
         stop = base + consumed
-        if stop > depth_cap:
-            raise DepthCapError(
-                f"compression exceeded depth cap {depth_cap} at level {stop}"
-            )
-        # each child is a run of keys sharing `stop` bits, slotted by its first
-        cuts = [start, *(i for i, v in enumerate(inner, start + 1) if v < stop), end]
-        children: list = [None] * (1 << consumed)
-        for a, b in zip(cuts, cuts[1:]):
-            if lengths[a] is not None and lengths[a] < stop:
-                raise IndistinguishableKeysError(
-                    f"key {ids[a]} is too short to address a slot spanning "
-                    f"levels {base}..{stop - 1}")
-            if stop <= 64:
-                slot = (words[a] >> (64 - stop)) & ((1 << consumed) - 1)
-            else:  # past the first word: read the slot's bits
-                slot = int(_word(keys, order[a:a + 1], base, consumed)[0]
-                           ) >> (64 - consumed)
-            children[slot] = ids[a] if b - a == 1 else (yield a, b, stop)
-        yield AlcNode(consumed=consumed, children=children)
-
-    # one suspended node() per level of the path being built, in place of a
-    # recursion: a long shared prefix nests one node per few bits, past
-    # Python's recursion limit well before the depth cap
-    path = [node(0, n, 0)]
-    done = None
-    while path:
-        step = path[-1].send(done)
-        if isinstance(step, AlcNode):
-            path.pop()
-            done = step
-        else:
-            path.append(node(*step))
-            done = None
-    return AlcTrie(keyset=keys, alpha=alpha, root=done)
+        nodes = [[None] * (1 << c) for c in consumed.tolist()]
+        for (holder, spot), c, children in zip(spots, consumed.tolist(), nodes):
+            holder[spot] = AlcNode(consumed=c, children=children)
+        # each child is a run of a group's keys sharing `stop` bits
+        ends = (rel < consumed[rows]).nonzero()[0] + 1
+        starts = np.concatenate(([0], ends[:-1]))
+        size, parent, at = ends - starts, rows[starts], pos[starts]
+        # depth first, a node's cap check precedes its children's and a child's
+        # too-short check its own node's: the first fault is at the first child
+        # short or with a capped parent; later waves keep the groups before it
+        capped = stop[parent] > depth_cap
+        bad = capped if lengths is None else capped | (lengths[at] < stop[parent])
+        del rows, rel, ends, starts   # lowers the heap's high-water mark
+        if bad.any():
+            c = bad.argmax()
+            g = parent[c]
+            error = (DepthCapError(f"compression exceeded depth cap {depth_cap} "
+                                   f"at level {stop[g]}") if capped[c] else
+                     IndistinguishableKeysError(
+                         f"key {order[at[c]]} is too short to address a slot "
+                         f"spanning levels {base[g]}..{stop[g] - 1}"))
+            size, parent, at = size[:c], parent[:c], at[:c]
+        # slot: bits base .. stop-1 of the child's first key, one read per base past 64
+        width, base = consumed[parent], base[parent]
+        slot = codes[at] << base.astype(np.uint64)
+        deep = (base + width > 64).nonzero()[0]
+        for b in set(base[deep].tolist()):
+            i = deep[base[deep] == b]
+            slot[i] = _word(keys, order[at[i]], b, int(width[i].max()))
+        slot >>= (64 - width).astype(np.uint64)
+        leaf = size == 1
+        for p, s, kid in zip(parent[leaf].tolist(), slot[leaf].tolist(),
+                             order[at[leaf]].tolist()):
+            nodes[p][s] = kid
+        group = ~leaf
+        pos = pos[:size.sum()][group.repeat(size)]
+        size, parent, base = size[group], parent[group], base[group] + width[group]
+        spots = list(zip([nodes[p] for p in parent.tolist()], slot[group].tolist()))
+    if error is not None:
+        raise error
+    return AlcTrie(keyset=keys, alpha=alpha, root=root[0])
 
 
 def depth(alc: AlcTrie, key_id: int) -> DepthSample:

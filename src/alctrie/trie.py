@@ -5,9 +5,9 @@ keys is a filled (internal) node; a key sits in an external node at the depth
 of its shortest prefix not shared with any other key.
 
 No trie is built.  Every quantity is read off the keys in sorted order plus
-the longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): a
-profile is a difference array over the LCPs, and every subtrie is a
-contiguous range of the order.  The alpha-fillup level of m keys is decided
+the longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): one
+counter (`_level_counts`) reads profiles off the LCPs, and every subtrie is
+a contiguous range of the order.  The alpha-fillup level of m keys is decided
 by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
 random keys reads and sorts only that many bits of each key: `_sorted_lcp`
 takes a cap, leaves keys tied on every bit above it tied, and clips their
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -183,33 +182,23 @@ def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0,
     return order, lcp, codes
 
 
-def _lcp_counts(lcps: list[int], base: int = 0, top: int | None = None) -> list[int]:
-    """Shared-prefix counts at levels 0 .. top (default: the deepest) of sorted
-    keys sharing `base` bits, from the LCPs of their adjacent pairs.  Such a
-    prefix is a maximal run of pairs with LCP >= its length, so pair i starts
-    one at each level lcps[i-1] < k <= lcps[i]: a difference array."""
-    if top is None:
-        top = max(lcps, default=base - 1) - base
-    diff = [0] * (top + 2)
-    prev = -1
-    for v in lcps:
-        v = min(v - base, top)
-        if v > prev:
-            diff[prev + 1] += 1
-            diff[v + 1] -= 1
-        prev = v
-    return list(accumulate(diff[:-1]))
-
-
-def _level_counts(lcp: np.ndarray, top: int) -> np.ndarray:
-    """_lcp_counts over a whole group's LCPs (counted from its base) at levels
-    0 .. top, in numpy.  A shared k-bit prefix is a maximal run of pairs with
-    LCP >= k, so it is counted by the pairs with LCP >= k, less the adjacent
-    pairs of such pairs."""
+def _level_counts(lcp: np.ndarray, top: int,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """Shared-prefix counts at levels 0 .. top of sorted keys from the LCPs of
+    adjacent pairs, counted from their shared base: the pairs with LCP >= k
+    less the adjacent pairs of such pairs, since a shared k-bit prefix is a
+    maximal run of such pairs.  With `rows`, lcp holds groups one after
+    another, rows[i] is the group of entry i, and a -1 ends each group (level
+    -1, column 0 of its row); each group gets a row."""
+    width = top + 2
+    groups = 1 if rows is None else int(rows[-1]) + 1
     v = np.minimum(lcp, top)
-    runs = (np.bincount(v, minlength=top + 1)
-            - np.bincount(np.minimum(v[1:], v[:-1]), minlength=top + 1))
-    return np.cumsum(runs[::-1])[::-1]
+    v += 1 if rows is None else rows * width + 1
+    runs = np.bincount(v, minlength=groups * width)
+    runs -= np.bincount(np.minimum(v[1:], v[:-1]), minlength=groups * width)
+    counts = runs.reshape(groups, width)[:, :0:-1]   # levels top .. 0
+    counts.cumsum(axis=1, out=counts)
+    return counts[0, ::-1] if rows is None else counts[:, ::-1]
 
 
 def _fillup_bound(m: int, alpha: float) -> int:

@@ -161,6 +161,28 @@ def test_sim_depth_without_n_is_a_usage_error(capsys):
     assert "--lambda" not in message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--n", "64", "--p", "1.5", "--alpha", "0.5"],
+     "--p must lie strictly in (0, 1), got 1.5"),
+    (["expect", "--n", "64", "--p", "0.7", "--k", "0", "--alpha", "1.0"],
+     "--alpha must lie strictly in (0, 1), got 1.0"),
+    (["sim-fillup", "--n", "64", "--p", "0.5", "--alpha", "1.0"],
+     "--alpha must lie strictly in (0, 1), got 1.0"),
+    (["sim-depth", "--n", "64", "--p", "0", "--alpha", "0.5"],
+     "--p must lie strictly in (0, 1), got 0.0"),
+    (["build", "--keys", "missing.txt", "--alpha", "0"],
+     "--alpha must lie in (0, 1], got 0.0"),
+    (["query", "--keys", "missing.txt", "--queries", "missing.txt",
+      "--alpha", "1.5"], "--alpha must lie in (0, 1], got 1.5"),
+])
+def test_fraction_outside_its_domain_is_a_usage_error(capsys, argv, message):
+    # checked before any key file is read
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out = capsys.readouterr()
+    assert (err.value.code, out.out, out.err) == (2, "", f"usage error: {message}\n")
+
+
 def test_runtime_error_exits_one(tmp_path, capsys):
     code = main(["build", "--keys", str(tmp_path / "missing.txt"),
                  "--alpha", "0.5"])

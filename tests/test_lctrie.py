@@ -1,4 +1,8 @@
+import hashlib
+import random
 import re
+from collections import Counter
+from itertools import count
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from alctrie.analysis import ModelParams
 from alctrie.montecarlo import ExperimentConfig, simulate_fillup
 from alctrie.source import KeySet, SourceParams, generate_keys, trial_seed
 from alctrie.trie import (
+    DEFAULT_DEPTH_CAP,
+    DepthCapError,
     IndistinguishableKeysError,
     _capped_fillup,
     _level_counts,
@@ -365,6 +371,41 @@ def ref_slot_ends(node, base=0) -> dict:
     return {} if node is None else {node: base}
 
 
+def ref_first_fault(lines, alpha, depth_cap=DEFAULT_DEPTH_CAP):
+    """The message of the first fault a depth-first build over the distinct,
+    prefix-free 0/1 strings `lines` meets, or None: a node past depth_cap,
+    or a key too short to address its slot.  Fillup levels are counted from
+    the strings' prefixes, and children are visited in slot order."""
+    def fillup(group, base):
+        level = 0
+        for k in count(1):
+            tally = Counter(s[base:base + k] for s in group if len(s) >= base + k)
+            if sum(c >= 2 for c in tally.values()) * 2.0**-k < alpha:
+                return level
+            level = k
+
+    def visit(ids, base):
+        stop = base + fillup([lines[i] for i in ids], base) + 1
+        if stop > depth_cap:
+            return f"compression exceeded depth cap {depth_cap} at level {stop}"
+        children = {}
+        for i in ids:   # a short key's slot is its bits, zero padded
+            slot = lines[i][base:stop].ljust(stop - base, "0")
+            children.setdefault(slot, []).append(i)
+        for slot in sorted(children):
+            child = children[slot]
+            if len(child) > 1:
+                fault = visit(child, stop)
+                if fault:
+                    return fault
+            elif len(lines[child[0]]) < stop:
+                return (f"key {child[0]} is too short to address a slot "
+                        f"spanning levels {base}..{stop - 1}")
+        return None
+
+    return visit(range(len(lines)), 0) if len(lines) > 1 else None
+
+
 def key_lines(tuples, lengths, cidr):
     """Each key cut to its length, as a 0/1 line or as CIDR over its first
     32 bits."""
@@ -410,8 +451,10 @@ def test_mixed_length_keys_match_oracles(n, p, alpha, seed, cidr, long_enough,
     lengths = [min(32, s + e) if cidr else s + e for s, e in zip(shortest, extra)]
     finite = KeySet.from_lines(key_lines(tuples, lengths, cidr))
     assert_profile(finite, ks)
-    if any(lengths[i] < ends[i] for i in range(n)):
-        with pytest.raises(IndistinguishableKeysError, match="too short"):
+    fault = ref_first_fault(key_lines(tuples, lengths, cidr=False), alpha)
+    assert (fault is not None) == any(lengths[i] < ends[i] for i in range(n))
+    if fault:
+        with pytest.raises(IndistinguishableKeysError, match=f"^{re.escape(fault)}$"):
             compress(finite, alpha)
         return
     alc = compress(finite, alpha)
@@ -505,3 +548,67 @@ def test_designated_depth_past_bit_64(alpha):
     assert deep
     for i in deep:
         assert designated_depth(ks, alpha, i) == depth(alc, i)
+
+
+@pytest.mark.parametrize("lines, alpha, depth_cap, error, message", [
+    # depth first, the chain under 0 passes the cap before key 2's slot at
+    # the root is checked; one node depth at a time would meet key 2 first
+    (["0" * 5000 + "0", "0" * 5000 + "1", "1"], 0.5, DEFAULT_DEPTH_CAP,
+     DepthCapError, "compression exceeded depth cap 4096 at level 4098"),
+    (["0" * 2500 + "0", "0" * 2500 + "1", "1"], 0.5, DEFAULT_DEPTH_CAP,
+     IndistinguishableKeysError,
+     "key 2 is too short to address a slot spanning levels 0..1"),
+    # key 1 is short two nodes down under 0, key 0 one node down under 1
+    (["1", "011", "0101", "01000"], 0.5, DEFAULT_DEPTH_CAP,
+     IndistinguishableKeysError,
+     "key 1 is too short to address a slot spanning levels 2..3"),
+    # key 0 is short two nodes down, key 3 one node down, and the chain
+    # under 1 passes the cap seven nodes down
+    (["0011", "00101", "001000", "01", "1" + "0" * 20, "1" + "0" * 19 + "1"],
+     0.5, 16, IndistinguishableKeysError,
+     "key 0 is too short to address a slot spanning levels 3..4"),
+    # the cap, eight nodes down under 0, comes before keys 1 and 0 fall short
+    (["1", "011", "0101", "01000" + "0" * 20, "01000" + "0" * 19 + "1"],
+     0.5, 16, DepthCapError, "compression exceeded depth cap 16 at level 18"),
+])
+def test_first_fault_depth_first_is_raised(lines, alpha, depth_cap, error,
+                                           message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        compress(KeySet.from_lines(lines), alpha, depth_cap=depth_cap)
+    if max(map(len, lines)) < 100:   # the reference recurses once per node
+        assert ref_first_fault(lines, alpha, depth_cap) == message
+
+
+# -- whole structures at scale, pinned by digest -----------------------------
+
+# digests of the structures built by the earlier, node-at-a-time compress
+SKEWED_DIGEST = "53ec89ce7310599a68cfbb90a3ecaaf583b4db8c710c25834759cd79bbed6d53"
+CIDR_DIGEST = "5354f3fdbd00059c967c5dd6484bb0b3b0fa25d76dde06adb347e6040a8e0408"
+
+
+def preorder_digest(root) -> str:
+    """SHA-256 of the structure in preorder: a node as "(consumed", its
+    children and ")", a key as its id, an empty slot as "-"."""
+    tokens, stack = [], [root]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, AlcNode):
+            tokens.append(f"({cur.consumed}")
+            stack.append(")")
+            stack.extend(reversed(cur.children))
+        else:
+            tokens.append("-" if cur is None else str(cur))
+    return hashlib.sha256(" ".join(tokens).encode()).hexdigest()
+
+
+def cidr_table(seed: int, n: int) -> KeySet:
+    values = random.Random(seed).sample(range(1 << 24), n)
+    return KeySet.from_lines(f"{v >> 16}.{(v >> 8) & 255}.{v & 255}.0/24"
+                             for v in values)
+
+
+def test_structures_at_scale_match_pinned_digests():
+    skewed = generate_keys(SourceParams(0.9, 2024), 16_384)
+    assert len(tabulate_profile(skewed)) > 65   # keys share more than 64 bits
+    assert preorder_digest(compress(skewed, 0.5).root) == SKEWED_DIGEST
+    assert preorder_digest(compress(cidr_table(7, 20_000), 0.5).root) == CIDR_DIGEST
