@@ -36,7 +36,9 @@ _LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class ModelParams:
     """A model instance: bit probability p, target fraction alpha, and the
-    number of keys, either fixed (n) or Poisson distributed (lam)."""
+    number of keys, either fixed (n) or Poisson distributed (lam).  Alpha = 1
+    is the classic fillup level, which the simulations take and the level
+    predictors do not."""
 
     p: float
     alpha: float
@@ -46,8 +48,8 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if not (0.0 < self.alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if (self.n is None) == (self.lam is None):
             raise ValueError("exactly one of n and lam must be given")
         if self.n is not None and self.n < 0:
@@ -276,6 +278,8 @@ def predict_level_calibrated(params: ModelParams, cap: int | None = None) -> int
     """
     if params.size < 2:
         raise ValueError("size must be at least 2")
+    if not params.alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {params.alpha}")
     if cap is None:
         cap = max(8, int(8 * math.log2(params.size)))
     if expected_fill_fraction(params, 0) < params.alpha:

@@ -48,7 +48,8 @@ def _probability(text: str) -> float:
     return value
 
 
-def _add_model_flags(sub, *, need_alpha: bool, fixed_only: bool = False):
+def _add_model_flags(sub, *, need_alpha: bool, fixed_only: bool = False,
+                     alpha_domain: str = "(0, 1)"):
     sub.add_argument("--p", type=_probability, required=True,
                      help="probability of a 1 bit, strictly between 0 and 1")
     sub.add_argument("--n", type=int, help="fixed number of keys")
@@ -57,7 +58,7 @@ def _add_model_flags(sub, *, need_alpha: bool, fixed_only: bool = False):
                          help="Poisson mean number of keys")
     if need_alpha:
         sub.add_argument("--alpha", type=_probability, required=True,
-                         help="target fill fraction in (0, 1)")
+                         help=f"target fill fraction in {alpha_domain}")
 
 
 def _add_sim_flags(sub):
@@ -101,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("sim-fillup",
                          help="simulate the alpha-fillup level distribution")
-    _add_model_flags(sp, need_alpha=True)
+    _add_model_flags(sp, need_alpha=True, alpha_domain="(0, 1]")
     _add_sim_flags(sp)
     _add_format_flag(sp)
 
     sp = subs.add_parser("sim-depth",
                          help="simulate the compressed search depth of key 0")
-    _add_model_flags(sp, need_alpha=True, fixed_only=True)
+    _add_model_flags(sp, need_alpha=True, fixed_only=True, alpha_domain="(0, 1]")
     _add_sim_flags(sp)
     _add_format_flag(sp)
 
@@ -130,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_params(args, *, alpha=None) -> ModelParams:
+def _model_params(args, *, alpha=None, closed: bool = False) -> ModelParams:
+    """The model of the flags; closed admits alpha = 1 (the simulations)."""
     n = args.n
     lam = getattr(args, "lam", None)
     if (n is None) == (lam is None):
@@ -139,7 +141,7 @@ def _model_params(args, *, alpha=None) -> ModelParams:
         raise SystemExit(_usage_error(f"{need} required"))
     alpha = alpha if alpha is not None else args.alpha
     _check_fraction("--p", args.p)
-    _check_fraction("--alpha", alpha)
+    _check_fraction("--alpha", alpha, closed=closed)
     return ModelParams(p=args.p, alpha=alpha, n=n, lam=lam)
 
 
@@ -202,7 +204,7 @@ def _cmd_expect(args, out):
 
 
 def _cmd_sim_fillup(args, out):
-    params = _model_params(args)
+    params = _model_params(args, closed=True)
     config = ExperimentConfig(params=params, trials=args.trials, seed=args.seed,
                               jobs=args.jobs)
     hist = simulate_fillup(config)
@@ -228,7 +230,7 @@ def _cmd_sim_fillup(args, out):
 
 
 def _cmd_sim_depth(args, out):
-    params = _model_params(args)
+    params = _model_params(args, closed=True)
     config = ExperimentConfig(params=params, trials=args.trials, seed=args.seed,
                               jobs=args.jobs)
     summary = simulate_depth(config)

@@ -224,7 +224,8 @@ def simulate_depth(config: ExperimentConfig) -> DepthSummary:
     tasks = [(p, config.seed, p.alpha, t) for t in range(config.trials)]
     rows = _run_trials(_depth_trial, tasks, config.jobs)
     depths = np.array([r[2] for r in rows], dtype=np.float64)
-    qs = {q: float(np.quantile(depths, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)}
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
+    qs = dict(zip(levels, np.quantile(depths, levels).tolist()))
     mean = float(depths.mean())
     loglog = math.log2(math.log2(p.n))
     return DepthSummary(
@@ -356,6 +357,8 @@ def compare_report(config: ExperimentConfig, *, ks: list[int] | None = None,
     for n in n_values:
         for alpha in alphas:
             params = ModelParams(p=config.params.p, alpha=alpha, n=n)
+            # first, as the predictor takes no alpha = 1 and the trials do
+            analytic = float(predict_level_calibrated(params))
             sub = ExperimentConfig(params=params, trials=config.trials,
                                    seed=config.seed, jobs=config.jobs)
             hist = simulate_fillup(sub)
@@ -364,7 +367,6 @@ def compare_report(config: ExperimentConfig, *, ks: list[int] | None = None,
             mean = float(arr.mean()) if len(arr) else float("nan")
             stderr = (float(arr.std(ddof=1) / math.sqrt(len(arr)))
                       if len(arr) > 1 else 0.0)
-            analytic = float(predict_level_calibrated(params))
             rows.append((n, alpha, mean, stderr, analytic, mean - analytic))
     return Report(
         kind="fillup",

@@ -75,20 +75,6 @@ def _fmix64_scalar(x: int) -> int:
     return x
 
 
-def _fmix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
-    """Vectorized _fmix64_scalar, written into x; tmp is scratch of x's shape.
-    uint64 arithmetic wraps mod 2**64."""
-    u33 = _U64(33)
-    np.right_shift(x, u33, out=tmp)
-    x ^= tmp
-    x *= _U64(_FMIX_C1)
-    np.right_shift(x, u33, out=tmp)
-    x ^= tmp
-    x *= _U64(_FMIX_C2)
-    np.right_shift(x, u33, out=tmp)
-    x ^= tmp
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Memoryless source: probability of a 1-bit and a 64-bit seed."""
@@ -254,11 +240,23 @@ class KeySet:
             return self._finite_bits[ids, start:end]
         if start + width > MAX_BIT_INDEX:
             raise ValueError("bit index out of supported range")
-        # id and index fill disjoint halves of the word, so (id << 32 | index) ^ s1
-        # is ((id << 32) ^ s1) ^ index: one pass builds the whitened words
+        # the two rounds of _fmix64_scalar, fused into 12 passes per bit by
+        # three identities:
+        # - id and index fill disjoint halves of x = (id << 32 | index) ^ s1,
+        #   so x = ((id << 32) ^ s1) ^ index, and as the index lies below bit
+        #   33 the first x ^= x >> 33 acts on the row word alone;
+        # - round 1's closing xor-shift and round 2's opening one (after ^ s2)
+        #   cancel to ^ k, k = s2 ^ (s2 >> 33), as (a ^ a >> 33) >> 33 == a >> 33;
+        # - (b ^ b >> 33) < cut equals (b ^ (cut >> 33)) < cut: both keep b's
+        #   bits 31 and up, and where those tie with cut's, b >> 33 == cut >> 33
+        u33 = _U64(33)
         rows = (ids.astype(np.uint64) << _U64(32)) ^ _U64(self._s1)
+        rows ^= rows >> u33
         cols = np.arange(start, start + width, dtype=np.uint64)
-        s2, cut = _U64(self._s2), _U64(self._cut)
+        c1, c2 = _U64(_FMIX_C1), _U64(_FMIX_C2)
+        k = _U64(self._s2 ^ (self._s2 >> 33))
+        cut = _U64(self._cut)
+        tail = _U64(self._cut >> 33)
         out = np.empty((len(ids), width), dtype=bool)
         # hash a cache-sized band of rows at a time, in two reused buffers
         step = max(1, _HASH_CHUNK // width)
@@ -268,9 +266,16 @@ class KeySet:
             band = rows[a:a + step]
             hb, tb = h[:len(band)], tmp[:len(band)]
             np.bitwise_xor(band[:, None], cols[None, :], out=hb)
-            _fmix64_inplace(hb, tb)
-            hb ^= s2
-            _fmix64_inplace(hb, tb)
+            hb *= c1
+            np.right_shift(hb, u33, out=tb)
+            hb ^= tb
+            hb *= c2
+            hb ^= k
+            hb *= c1
+            np.right_shift(hb, u33, out=tb)
+            hb ^= tb
+            hb *= c2
+            hb ^= tail
             np.less(hb, cut, out=out[a:a + step])
         return out.view(np.uint8)
 

@@ -11,16 +11,20 @@ a contiguous range of the order.  The alpha-fillup level of m keys is decided
 by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
 random keys reads and sorts only that many bits of each key: `_sorted_lcp`
 takes a cap, leaves keys tied on every bit above it tied, and clips their
-LCPs there.
+LCPs there.  Random keys are first read to a shallower cap near their
+expected fillup level (`_first_read`), and to the bound only if no level so
+far falls below alpha.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .analysis import ModelParams, predict_level_calibrated
 from .source import MAX_BIT_INDEX, KeySet
 
 __all__ = [
@@ -148,13 +152,19 @@ def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0,
     if lengths is not None:
         order = np.lexsort((lengths, codes))
         lengths = lengths[order]
+        codes = codes[order]
     elif width <= 32:
         # codes within the top 32 bits sort with each row's position below
-        # them several times faster than by argsort
-        order = np.sort(codes | np.arange(len(ids), dtype=np.uint64)) & _LOW32
+        # them several times faster than by argsort; sorted in place, they
+        # give the order and, less it, themselves sorted
+        codes |= np.arange(len(ids), dtype=np.uint64)
+        codes.sort()
+        order = codes & _LOW32
+        codes ^= order
     else:
         order = np.argsort(codes)
-    order, codes = ids[order], codes[order]
+        codes = codes[order]
+    order = ids[order]
     lcp = np.minimum(_adjacent_lcp(codes), width)
     tied = np.flatnonzero(lcp == width)
     while (len(tied) and width < stop
@@ -209,12 +219,34 @@ def _fillup_bound(m: int, alpha: float) -> int:
     return int(m / alpha).bit_length() - 1
 
 
+@lru_cache(maxsize=4096)
+def _first_read(p: float, alpha: float, m: int) -> int:
+    """Levels of m random keys read before the bound: two past the last
+    level whose expected fill fraction reaches alpha, as the fillup level
+    lies within one level of it with high probability.  No expected fraction
+    reaches alpha at or past _fillup_bound, so the search ends there."""
+    top = _fillup_bound(m, alpha)
+    if alpha == 1.0 or m < 2:
+        return top
+    level = predict_level_calibrated(ModelParams(p=p, alpha=alpha, n=m), cap=top)
+    return min(top, level + 2)
+
+
 def _capped_fillup(keys: KeySet, ids: np.ndarray | None, base: int, alpha: float):
     """Alpha-fillup level of the keys `ids` (default all), which share `base`
     bits, with their order and LCPs from _sorted_lcp.  Random keys are read
-    down to _fillup_bound only; finite keys are read whole, so that any two
-    nested keys among them raise."""
-    top = _fillup_bound(len(keys) if ids is None else len(ids), alpha)
+    down to _first_read, and down to _fillup_bound only if no level so far
+    falls below alpha; finite keys are read whole, so that any two nested
+    keys among them raise."""
+    m = len(keys) if ids is None else len(ids)
+    top = _fillup_bound(m, alpha)
+    if keys.is_random:
+        read = _first_read(keys.params.p, alpha, m)
+        if read < top:
+            order, lcp = _sorted_lcp(keys, ids, base, read)[:2]
+            fillup = _fillup(_level_counts(lcp, read).tolist(), alpha)
+            if fillup < read:   # a level up to `read` falls below alpha
+                return fillup, order, lcp
     order, lcp = _sorted_lcp(keys, ids, base, top if keys.is_random else None)[:2]
     return _fillup(_level_counts(lcp, top).tolist(), alpha), order, lcp
 

@@ -408,7 +408,12 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(p=0.7, alpha=0.5, n=10, lam=10.0)
     with pytest.raises(ValueError):
-        ModelParams(p=0.7, alpha=1.0, n=10)
+        ModelParams(p=0.7, alpha=1.5, n=10)
+    # alpha = 1 (the classic fillup level) is a model the simulations run,
+    # but not one the level predictors take
+    classic = ModelParams(p=0.7, alpha=1.0, n=10)
+    with pytest.raises(ValueError, match=r"strictly in \(0, 1\), got 1.0"):
+        predict_level_calibrated(classic)
     with pytest.raises(ValueError):
         ModelParams(p=0.7, alpha=0.5, lam=0.0)
     params = ModelParams(p=0.7, alpha=0.5, lam=64.0)

@@ -4,6 +4,9 @@ import pytest
 
 from alctrie.analysis import prob_poisson_ge2
 from alctrie.cli import build_parser, main
+from alctrie.lctrie import compress, depth
+from alctrie.source import SourceParams, generate_keys, trial_seed
+from alctrie.trie import alpha_fillup_level, tabulate_profile
 
 
 def run_cli(capsys, *argv):
@@ -166,7 +169,7 @@ def test_sim_depth_without_n_is_a_usage_error(capsys):
      "--p must lie strictly in (0, 1), got 1.5"),
     (["expect", "--n", "64", "--p", "0.7", "--k", "0", "--alpha", "1.0"],
      "--alpha must lie strictly in (0, 1), got 1.0"),
-    (["sim-fillup", "--n", "64", "--p", "0.5", "--alpha", "1.0"],
+    (["predict", "--n", "64", "--p", "0.5", "--alpha", "1.0"],
      "--alpha must lie strictly in (0, 1), got 1.0"),
     (["sim-depth", "--n", "64", "--p", "0", "--alpha", "0.5"],
      "--p must lie strictly in (0, 1), got 0.0"),
@@ -174,6 +177,10 @@ def test_sim_depth_without_n_is_a_usage_error(capsys):
      "--alpha must lie in (0, 1], got 0.0"),
     (["query", "--keys", "missing.txt", "--queries", "missing.txt",
       "--alpha", "1.5"], "--alpha must lie in (0, 1], got 1.5"),
+    (["sim-fillup", "--n", "64", "--p", "0.5", "--alpha", "1.5"],
+     "--alpha must lie in (0, 1], got 1.5"),
+    (["sim-depth", "--n", "64", "--p", "0.5", "--alpha", "0"],
+     "--alpha must lie in (0, 1], got 0.0"),
 ])
 def test_fraction_outside_its_domain_is_a_usage_error(capsys, argv, message):
     # checked before any key file is read
@@ -181,6 +188,20 @@ def test_fraction_outside_its_domain_is_a_usage_error(capsys, argv, message):
         main(argv)
     out = capsys.readouterr()
     assert (err.value.code, out.out, out.err) == (2, "", f"usage error: {message}\n")
+
+
+def test_simulations_take_the_classic_alpha_of_one(capsys):
+    # alpha = 1: the classic fillup level and the depth in the classic LC trie
+    base = ("--n", "64", "--p", "0.7", "--alpha", "1.0", "--trials", "6",
+            "--seed", "5", "--jobs", "1")
+    code, fillup, _ = run_cli(capsys, "sim-fillup", *base)
+    assert code == 0
+    code, depths, _ = run_cli(capsys, "sim-depth", *base)
+    assert code == 0
+    for f_row, d_row in zip(csv_rows(fillup), csv_rows(depths), strict=True):
+        keys = generate_keys(SourceParams(0.7, trial_seed(5, int(f_row["trial"]))), 64)
+        assert int(f_row["F"]) == alpha_fillup_level(tabulate_profile(keys), 1.0)
+        assert int(d_row["D"]) == depth(compress(keys, 1.0), 0).depth
 
 
 def test_runtime_error_exits_one(tmp_path, capsys):

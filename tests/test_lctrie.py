@@ -21,11 +21,13 @@ from alctrie.lctrie import (
 from alctrie.analysis import ModelParams
 from alctrie.montecarlo import ExperimentConfig, simulate_fillup
 from alctrie.source import KeySet, SourceParams, generate_keys, trial_seed
+from alctrie import trie
 from alctrie.trie import (
     DEFAULT_DEPTH_CAP,
     DepthCapError,
     IndistinguishableKeysError,
     _capped_fillup,
+    _fillup_bound,
     _level_counts,
     _sorted_lcp,
     alpha_fillup_level,
@@ -309,6 +311,19 @@ def _pairing_seed(n: int) -> int:
     raise AssertionError(f"no pairing seed for n = {n}")
 
 
+def _recorded_reads(monkeypatch):
+    """Every (rows, width) that KeySet.bit_block is asked for from now on."""
+    reads = []
+    block = KeySet.bit_block
+
+    def recording(self, ids, start, width):
+        reads.append((len(ids), width))
+        return block(self, ids, start, width)
+
+    monkeypatch.setattr(KeySet, "bit_block", recording)
+    return reads
+
+
 @pytest.mark.parametrize("p, n, alpha, seed", [
     (0.5, 4, 1.0, None), (0.5, 8, 1.0, None),      # fillup at the bound
     (0.5, 8, 0.75, None),
@@ -323,20 +338,10 @@ def test_groups_read_no_bits_past_the_fillup_bound(p, n, alpha, seed,
         seed = _pairing_seed(n)
     keys = generate_keys(SourceParams(p, trial_seed(seed, 0)), n)
     probes = range(n) if n <= 64 else (0, 1, n // 2, n - 1)
-    reads = []
-    block = KeySet.bit_block
-
-    def recording(self, ids, start, width):
-        reads.append((len(ids), width))
-        return block(self, ids, start, width)
-
-    monkeypatch.setattr(KeySet, "bit_block", recording)
-    if alpha < 1:   # the model, and so sim-fillup, takes alpha below 1
-        config = ExperimentConfig(params=ModelParams(p=p, alpha=alpha, n=n),
-                                  trials=1, seed=seed)
-        level = simulate_fillup(config).rows[0][2]
-    else:
-        level = _capped_fillup(keys, None, 0, alpha)[0]
+    reads = _recorded_reads(monkeypatch)
+    config = ExperimentConfig(params=ModelParams(p=p, alpha=alpha, n=n),
+                              trials=1, seed=seed)
+    level = simulate_fillup(config).rows[0][2]
     walks = [designated_depth(keys, alpha, i) for i in probes]
     monkeypatch.undo()
     # a group of m keys reads at most floor(log2(m / alpha)) bits of each
@@ -348,6 +353,42 @@ def test_groups_read_no_bits_past_the_fillup_bound(p, n, alpha, seed,
     assert walks == [depth(alc, i) for i in probes]
     if p in (0.03, 0.97):
         assert max(w.consumed_total for w in walks) > 64
+
+
+def test_root_reads_only_the_levels_that_decide_its_fillup(monkeypatch):
+    # p = 0.7, alpha = 0.5, n = 65,536: the calibrated level is 13, so the
+    # root reads 15 bits of each key, where the bound floor(log2(n / alpha))
+    # is 17, and level 14 or 15 decides the fillup
+    config = ExperimentConfig(params=ModelParams(p=0.7, alpha=0.5, n=2**16),
+                              trials=1, seed=2101)
+    reads = _recorded_reads(monkeypatch)
+    level = simulate_fillup(config).rows[0][2]
+    assert reads == [(2**16, 15)]
+    monkeypatch.undo()
+    keys = generate_keys(SourceParams(0.7, trial_seed(2101, 0)), 2**16)
+    assert level == alpha_fillup_level(tabulate_profile(keys), 0.5)
+
+
+@pytest.mark.parametrize("p, n, alpha", [
+    (0.7, 4096, 0.5), (0.9, 1000, 0.25), (0.97, 48, 0.5),
+])
+def test_undecided_first_read_falls_back_to_the_bound(p, n, alpha, monkeypatch):
+    # a first read of at most 2 levels almost never holds a level below
+    # alpha, so each group is read again down to its fillup bound
+    keys = generate_keys(SourceParams(p, trial_seed(31, 0)), n)
+    config = ExperimentConfig(params=ModelParams(p=p, alpha=alpha, n=n),
+                              trials=1, seed=31)
+    want = (simulate_fillup(config).rows, designated_depth(keys, alpha, 0))
+    reads = _recorded_reads(monkeypatch)
+    monkeypatch.setattr(trie, "_first_read",
+                        lambda p, alpha, m: min(2, _fillup_bound(m, alpha)))
+    got = (simulate_fillup(config).rows, designated_depth(keys, alpha, 0))
+    monkeypatch.undo()
+    assert got == want
+    assert got[1] == depth(compress(keys, alpha), 0)
+    # the root is read twice: two levels, then all of them
+    assert reads[:2] == [(n, 2), (n, _fillup_bound(n, alpha))]
+    assert all(w <= _fillup_bound(m, alpha) for m, w in reads)
 
 
 def test_depth_raises_when_keys_do_not_match_the_trie():

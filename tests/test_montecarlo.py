@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from alctrie.analysis import ModelParams, expected_fill_fraction
+from alctrie import montecarlo
 from alctrie.lctrie import compress, depth
 from alctrie.montecarlo import (
     ExperimentConfig,
@@ -210,6 +212,16 @@ def test_compare_report_fillup_sweep_shape():
         assert abs(row[5]) < 6  # mc mean within a few levels of calibrated
 
 
+def test_compare_report_rejects_alpha_one_before_its_trials(monkeypatch):
+    # the trials take alpha = 1, the calibrated predictor does not
+    def no_trials(config):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(montecarlo, "simulate_fillup", no_trials)
+    with pytest.raises(ValueError, match=r"strictly in \(0, 1\), got 1.0"):
+        compare_report(config(n=64, trials=2), n_values=[16], alphas=[1.0])
+
+
 def test_total_variation_bounds():
     h1 = simulate_fillup(config(n=64, trials=30, seed=1))
     h2 = simulate_fillup(config(n=64, trials=30, seed=2))
@@ -222,3 +234,57 @@ def test_trial_seed_is_stable():
     assert trial_seed(42, 0) == trial_seed(42, 0)
     assert trial_seed(42, 0) != trial_seed(42, 1)
     assert trial_seed(41, 0) != trial_seed(42, 0)
+
+
+# SHA-256 (first 16 hex digits) of the per-trial CSV that `alctrie sim-fillup`
+# and `sim-depth` print at --trials 5 --seed 11, recorded from the code that
+# read every group of random keys down to its fillup bound.
+SIM_DIGESTS = {
+    ("sim-fillup", 4096, 0.5, 0.25): "6d93c2d5ab760037",
+    ("sim-fillup", 4096, 0.5, 0.5): "174e420473a9f3ef",
+    ("sim-fillup", 4096, 0.5, 0.9): "04530721dcf42d38",
+    ("sim-fillup", 4096, 0.7, 0.25): "174e420473a9f3ef",
+    ("sim-fillup", 4096, 0.7, 0.5): "04530721dcf42d38",
+    ("sim-fillup", 4096, 0.7, 0.9): "ef03ce7d250f5e7e",
+    ("sim-fillup", 4096, 0.97, 0.25): "84bc14e645178059",
+    ("sim-fillup", 4096, 0.97, 0.5): "b07a78af6af1c31c",
+    ("sim-fillup", 4096, 0.97, 0.9): "465a3d148566f256",
+    ("sim-fillup", 65536, 0.5, 0.25): "2200220b96e375c7",
+    ("sim-fillup", 65536, 0.5, 0.5): "5e163117ea7cb5d8",
+    ("sim-fillup", 65536, 0.5, 0.9): "f6f1fcba5993983e",
+    ("sim-fillup", 65536, 0.7, 0.25): "5e163117ea7cb5d8",
+    ("sim-fillup", 65536, 0.7, 0.5): "9b35972595274887",
+    ("sim-fillup", 65536, 0.7, 0.9): "4a525c8f35bbd790",
+    ("sim-fillup", 65536, 0.97, 0.25): "2aa3570cbfb7b07e",
+    ("sim-fillup", 65536, 0.97, 0.5): "6fc5939fbe897017",
+    ("sim-fillup", 65536, 0.97, 0.9): "5d57a2cf942176a8",
+    ("sim-depth", 4096, 0.5, 0.25): "2b68cae692c241b3",
+    ("sim-depth", 4096, 0.5, 0.5): "1ee91e1a589a97fd",
+    ("sim-depth", 4096, 0.5, 0.9): "e94a2a761e920d08",
+    ("sim-depth", 4096, 0.7, 0.25): "64205a49589cc35f",
+    ("sim-depth", 4096, 0.7, 0.5): "56495842ed3a29d9",
+    ("sim-depth", 4096, 0.7, 0.9): "b2c2b0ac32e99c40",
+    ("sim-depth", 4096, 0.97, 0.25): "c6a4fa6bdd278051",
+    ("sim-depth", 4096, 0.97, 0.5): "02196ca839c163b2",
+    ("sim-depth", 4096, 0.97, 0.9): "4be86e4c1cafb859",
+    ("sim-depth", 65536, 0.5, 0.25): "a834b22b81d1e822",
+    ("sim-depth", 65536, 0.5, 0.5): "a6355f5f932e1e13",
+    ("sim-depth", 65536, 0.5, 0.9): "951b26d3910e1dd8",
+    ("sim-depth", 65536, 0.7, 0.25): "366f0a80481fb2fb",
+    ("sim-depth", 65536, 0.7, 0.5): "7bdde6c8549bbb20",
+    ("sim-depth", 65536, 0.7, 0.9): "f09075cac6f12f34",
+    ("sim-depth", 65536, 0.97, 0.25): "a0a2597a59e66347",
+    ("sim-depth", 65536, 0.97, 0.5): "88f1d77630c3f385",
+    ("sim-depth", 65536, 0.97, 0.9): "65fba6d1a3e479dd",
+}
+
+
+@pytest.mark.parametrize("command, n, p, alpha", sorted(SIM_DIGESTS))
+def test_simulation_output_is_pinned(command, n, p, alpha):
+    cfg = config(p=p, alpha=alpha, n=n, trials=5, seed=11)
+    if command == "sim-fillup":
+        text = fillup_csv(simulate_fillup(cfg))
+    else:
+        text = depth_csv(simulate_depth(cfg))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == SIM_DIGESTS[command, n, p, alpha]

@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import alctrie.source
 from alctrie.source import (
     DuplicateKeyError,
     KeyExhaustedError,
@@ -419,6 +420,55 @@ def test_scalar_bulk_and_reference_bits_agree(p, seed, key_id, index):
     want = _ref_bit(p, seed, key_id, index)
     assert ks[key_id].bit(index) == want
     assert int(ks.bit_block(np.array([key_id]), index, 1)[0, 0]) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(min_value=1, max_value=80),
+    chunk=st.sampled_from([64, 97, 256]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    tie=st.sampled_from(["on", "above", None]),
+)
+def test_whole_blocks_match_reference_bits(data, width, chunk, seed, tie):
+    # whole blocks of several hash bands each (a small band size keeps the
+    # reference affordable), with p optionally set on a chosen bit's hash,
+    # so that the tie of its top bits with the threshold's is decided below
+    band = max(1, chunk // width)   # rows per band, as bit_block cuts them
+    rows = data.draw(st.integers(min_value=band + 1, max_value=3 * band + 2))
+    first = data.draw(st.integers(min_value=0, max_value=2**32 - 2))
+    stride = data.draw(st.integers(min_value=1, max_value=2**32 - 2))
+    ids = [(first + stride * i) % (2**32 - 1) for i in range(rows)]
+    start = data.draw(st.integers(min_value=0, max_value=2**32 - width))
+    if tie is None:
+        p = data.draw(st.floats(min_value=0.0, max_value=1.0,
+                                exclude_min=True, exclude_max=True))
+    else:
+        r = data.draw(st.integers(min_value=0, max_value=rows - 1))
+        c = data.draw(st.integers(min_value=0, max_value=width - 1))
+        top = _ref_hash(seed, ids[r], start + c) >> 11
+        assume(top > 0)
+        p = top * 2.0**-53 if tie == "on" else math.nextafter(top * 2.0**-53, 1.0)
+    ks = generate_keys(SourceParams(p, seed), 2**32 - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alctrie.source, "_HASH_CHUNK", chunk)
+        block = ks.bit_block(np.array(ids, dtype=np.int64), start, width)
+    want = [[_ref_bit(p, seed, kid, start + j) for j in range(width)] for kid in ids]
+    assert block.dtype == np.uint8 and block.tolist() == want
+    if tie is not None:
+        assert block[r, c] == (tie == "above")
+
+
+def test_blocks_past_one_hash_band_match_reference_bits():
+    # the shipped band size: 2 full bands of 819 rows at width 80, and a part
+    seed, p, width = 4711, 0.37, 80
+    rows = 2 * (alctrie.source._HASH_CHUNK // width) + 5
+    ids = np.arange(2**32 - 1 - rows, 2**32 - 1, dtype=np.int64)
+    start = 2**32 - width
+    block = generate_keys(SourceParams(p, seed), 2**32 - 1).bit_block(ids, start, width)
+    want = [[_ref_bit(p, seed, int(kid), start + j) for j in range(width)]
+            for kid in ids]
+    assert block.tolist() == want
 
 
 def test_prefix_agrees_with_bulk_bits_at_every_length():

@@ -12,6 +12,7 @@ from alctrie.trie import (
     _capped_fillup,
     _level_counts,
     _sorted_lcp,
+    _word,
     alpha_fillup_level,
     count_filled_oracle,
     tabulate_profile,
@@ -187,7 +188,9 @@ def test_shared_prefix_counts_early_stop_matches_full():
         full_lcp = _sorted_lcp(ks)[1]
         full = tabulate_profile(ks).counts.tolist()
         for top in (0, 1, 7, 17, 64, 70, len(full) - 1, len(full) + 5):
-            lcp = _sorted_lcp(ks, depth=top)[1]
+            order, lcp, codes = _sorted_lcp(ks, depth=top)
+            # codes are the first min(top, 64) bits of the keys in order
+            assert codes.tolist() == _word(ks, order, 0, min(top, 64)).tolist()
             assert sorted(lcp.tolist()) == sorted(np.minimum(full_lcp, top).tolist())
             capped = _level_counts(lcp, top).tolist()
             assert capped == (full + [0] * (top + 1))[:top + 1]
