@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_params(args, *, alpha=None, closed: bool = False) -> ModelParams:
+def _model_params(args, *, alpha=None, closed: bool = False,
+                  least_n: int = 0) -> ModelParams:
     """The model of the flags; closed admits alpha = 1 (the simulations)."""
     n = args.n
     lam = getattr(args, "lam", None)
@@ -139,6 +140,8 @@ def _model_params(args, *, alpha=None, closed: bool = False) -> ModelParams:
         # sim-depth has no --lambda flag
         need = "exactly one of --n and --lambda is" if hasattr(args, "lam") else "--n is"
         raise SystemExit(_usage_error(f"{need} required"))
+    if n is not None:
+        _check_count("--n", n, least_n)
     alpha = alpha if alpha is not None else args.alpha
     _check_fraction("--p", args.p)
     _check_fraction("--alpha", alpha, closed=closed)
@@ -150,6 +153,23 @@ def _check_fraction(flag: str, value: float, *, closed: bool = False):
     if not (0.0 < value < 1.0 or closed and value == 1.0):
         domain = "in (0, 1]" if closed else "strictly in (0, 1)"
         raise SystemExit(_usage_error(f"{flag} must lie {domain}, got {value}"))
+
+
+def _check_count(flag: str, value: int, least: int):
+    """A usage error unless value is at least `least`."""
+    if value < least:
+        raise SystemExit(_usage_error(f"{flag} must be at least {least}, got {value}"))
+
+
+def _sim_config(args, *, least_n: int = 0) -> ExperimentConfig:
+    """The experiment of a simulation's flags, each checked before any trial
+    runs."""
+    params = _model_params(args, closed=True, least_n=least_n)
+    try:
+        return ExperimentConfig(params=params, trials=args.trials,
+                                seed=args.seed, jobs=args.jobs)
+    except ValueError as exc:   # its message starts with the flag's name
+        raise SystemExit(_usage_error(f"--{exc}")) from None
 
 
 def _usage_error(message: str) -> int:
@@ -204,9 +224,8 @@ def _cmd_expect(args, out):
 
 
 def _cmd_sim_fillup(args, out):
-    params = _model_params(args, closed=True)
-    config = ExperimentConfig(params=params, trials=args.trials, seed=args.seed,
-                              jobs=args.jobs)
+    config = _sim_config(args)
+    params = config.params
     hist = simulate_fillup(config)
     if args.format == "json":
         payload = {
@@ -230,9 +249,7 @@ def _cmd_sim_fillup(args, out):
 
 
 def _cmd_sim_depth(args, out):
-    params = _model_params(args, closed=True)
-    config = ExperimentConfig(params=params, trials=args.trials, seed=args.seed,
-                              jobs=args.jobs)
+    config = _sim_config(args, least_n=2)
     summary = simulate_depth(config)
     if args.format == "json":
         payload = {

@@ -200,7 +200,7 @@ def designated_depth(keys: KeySet, alpha: float, key_id: int = 0,
     level = 0
     steps = 0
     while len(ids) > 1:
-        fillup, order, lcp = _capped_fillup(keys, ids, level, alpha)
+        fillup, child = _capped_fillup(keys, ids, level, alpha)
         consumed = fillup + 1
         stop = level + consumed
         if stop > depth_cap:
@@ -212,9 +212,7 @@ def designated_depth(keys: KeySet, alpha: float, key_id: int = 0,
                 raise IndistinguishableKeysError(
                     f"key {short.min()} is too short to address a slot "
                     f"spanning levels {level}..{stop - 1}")
-        # the key's child group is its run of the order sharing `consumed` bits
-        run = np.cumsum(np.concatenate(([0], lcp < consumed)))
-        ids = order[run == run[np.flatnonzero(order == key_id)[0]]]
+        ids = child(key_id)
         level = stop
         steps += 1
     return DepthSample(key_id=key_id, depth=steps, consumed_total=level)

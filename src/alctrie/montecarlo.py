@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import ModelParams, expected_fill_fraction, predict_level_calibrated
 from .lctrie import designated_depth
 from .source import SourceParams, generate_keys, trial_seed
-from .trie import LevelProfile, _capped_fillup, _level_counts, _sorted_lcp
+from .trie import LevelProfile, _capped_fillup, _random_level_counts
 
 __all__ = [
     "ExperimentConfig",
@@ -43,11 +43,17 @@ class ExperimentConfig:
     params: ModelParams
     trials: int
     seed: int
-    jobs: int = 1
+    jobs: int | None = 1   # None: one per CPU
 
     def __post_init__(self):
+        # each message starts with the field's name, which is also its flag's
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if not 0 <= self.seed < 1 << 64:
+            # trial_seed would fold it onto a seed in range
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -178,8 +184,7 @@ def _fractions_trial(task):
     if n_eff < 2:
         return (trial, n_eff, tuple(0.0 for _ in ks))
     keys = generate_keys(SourceParams(params.p, trial_seed(seed, trial)), n_eff)
-    top = max(ks)
-    profile = LevelProfile(_level_counts(_sorted_lcp(keys, depth=top)[1], top))
+    profile = LevelProfile(_random_level_counts(keys, max(ks)))
     return (trial, n_eff, tuple(profile.fraction(k) for k in ks))
 
 

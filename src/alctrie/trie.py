@@ -9,11 +9,14 @@ the longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): one
 counter (`_level_counts`) reads profiles off the LCPs, and every subtrie is
 a contiguous range of the order.  The alpha-fillup level of m keys is decided
 by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
-random keys reads and sorts only that many bits of each key: `_sorted_lcp`
-takes a cap, leaves keys tied on every bit above it tied, and clips their
-LCPs there.  Random keys are first read to a shallower cap near their
-expected fillup level (`_first_read`), and to the bound only if no level so
-far falls below alpha.
+random keys reads only that many bits of each key, and first a shallower
+read near their expected fillup level (`_first_read`), going on to the bound
+only if no level so far falls below alpha.  A random group whose w bits read
+fit a histogram of at most 4 bins per key, 2**w <= 4*m (every bound at
+alpha >= 1/4), is counted from a histogram of its w-bit codes halved level
+by level (`_histogram_counts`), with no sort.  Other random groups, and
+finite keys, are sorted: `_sorted_lcp` takes a cap, leaves keys tied on
+every bit above it tied, and clips their LCPs there.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_DEPTH_CAP = 4096
-_PACK_ROWS = 1 << 13     # rows padded to 64 bits at a time by _word
+_PACK_ROWS = 1 << 13     # rows padded to whole bytes at a time by _word
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
@@ -105,15 +108,26 @@ def _word(keys: KeySet, ids: np.ndarray, start: int, width: int = 64) -> np.ndar
     first and zero below; a finite key reads 0 past its end."""
     block = (keys.bit_block(ids, start, width) if keys.is_random
              else keys._finite_bits[ids, start:start + width])   # zero padded
-    # packing whole 64-bit rows is several times faster than packing short
-    # ones; a band of rows at a time keeps the padded copy small
+    # rows padded to 1, 2, 4 or 8 whole bytes pack in one call into big-endian
+    # words, several times faster than packing short rows one by one; a band
+    # of rows at a time keeps the padded copy small
+    cols = block.shape[1]
+    size = 1 << max(0, (cols - 1) // 8).bit_length()
     codes = np.empty(len(ids), dtype=np.uint64)
-    rows = np.zeros((min(len(ids), _PACK_ROWS), 64), dtype=np.uint8)
+    rows = np.zeros((min(len(ids), _PACK_ROWS), 8 * size), dtype=np.uint8)
     for a in range(0, len(ids), _PACK_ROWS):
         band = block[a:a + _PACK_ROWS]
-        rows[:len(band), :band.shape[1]] = band
-        codes[a:a + len(band)] = np.packbits(rows[:len(band)]).view(">u8")
+        rows[:len(band), :cols] = band
+        codes[a:a + len(band)] = np.packbits(rows[:len(band)]).view(f">u{size}")
+    if size < 8:
+        codes <<= np.uint64(64 - 8 * size)
     return codes
+
+
+def _codes(keys: KeySet, ids: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Bits start .. start+width-1 (width <= 64) of each key, right-aligned:
+    the integer they spell."""
+    return _word(keys, ids, start, width) >> np.uint64(64 - width)
 
 
 def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
@@ -232,23 +246,77 @@ def _first_read(p: float, alpha: float, m: int) -> int:
     return min(top, level + 2)
 
 
+def _histogram_counts(codes: np.ndarray, width: int) -> np.ndarray:
+    """Shared-prefix counts at levels 0 .. width of keys whose first `width`
+    bits spell `codes`: the k-bit prefixes held by two or more keys, read off
+    a histogram of the codes halved level by level."""
+    counts = np.empty(width + 1, dtype=np.int64)
+    h = np.bincount(codes.view(np.int64), minlength=1 << width)
+    for k in range(width, -1, -1):
+        counts[k] = np.count_nonzero(h >= 2)
+        h = h[0::2] + h[1::2]
+    return counts
+
+
+def _histogram_fits(width: int, m: int) -> bool:
+    """Whether a histogram of m keys' `width`-bit codes has at most 4 bins per
+    key, 2**width <= 4*m, which holds for every fillup bound at alpha >= 1/4."""
+    return width <= (4 * m).bit_length() - 1
+
+
 def _capped_fillup(keys: KeySet, ids: np.ndarray | None, base: int, alpha: float):
-    """Alpha-fillup level of the keys `ids` (default all), which share `base`
-    bits, with their order and LCPs from _sorted_lcp.  Random keys are read
-    down to _first_read, and down to _fillup_bound only if no level so far
-    falls below alpha; finite keys are read whole, so that any two nested
-    keys among them raise."""
-    m = len(keys) if ids is None else len(ids)
+    """Alpha-fillup level F of the keys `ids` (default all), which share `base`
+    bits, and a function from one of them to the ids sharing its first F+1
+    bits past `base`: its child group in a compressed node at `base`.
+
+    Random keys are read down to _first_read, and down to _fillup_bound only
+    if no level so far falls below alpha.  When their histogram fits at the
+    bound, the counts come from it (_histogram_counts), and a fallback reads
+    only the bits past the first read; otherwise, and for finite keys, which
+    are read whole so that any two nested keys among them raise, they come
+    from _sorted_lcp."""
+    if ids is None:
+        ids = np.arange(len(keys), dtype=np.int64)
+    m = len(ids)
     top = _fillup_bound(m, alpha)
-    if keys.is_random:
-        read = _first_read(keys.params.p, alpha, m)
-        if read < top:
-            order, lcp = _sorted_lcp(keys, ids, base, read)[:2]
-            fillup = _fillup(_level_counts(lcp, read).tolist(), alpha)
-            if fillup < read:   # a level up to `read` falls below alpha
-                return fillup, order, lcp
+    read = _first_read(keys.params.p, alpha, m) if keys.is_random else top
+    if keys.is_random and _histogram_fits(top, m):
+        codes = _codes(keys, ids, base, read)
+        fillup = _fillup(_histogram_counts(codes, read).tolist(), alpha)
+        if fillup == read < top:   # no level up to `read` falls below alpha
+            codes <<= np.uint64(top - read)
+            codes |= _codes(keys, ids, base + read, top - read)
+            read = top
+            fillup = _fillup(_histogram_counts(codes, top).tolist(), alpha)
+        shift = np.uint64(read - fillup - 1)
+        return fillup, lambda key_id: ids[
+            (codes >> shift) == (codes[ids == key_id] >> shift)]
+    if read < top:
+        order, lcp = _sorted_lcp(keys, ids, base, read)[:2]
+        fillup = _fillup(_level_counts(lcp, read).tolist(), alpha)
+        if fillup < read:   # a level up to `read` falls below alpha
+            return fillup, _run_of(order, lcp, fillup + 1)
     order, lcp = _sorted_lcp(keys, ids, base, top if keys.is_random else None)[:2]
-    return _fillup(_level_counts(lcp, top).tolist(), alpha), order, lcp
+    fillup = _fillup(_level_counts(lcp, top).tolist(), alpha)
+    return fillup, _run_of(order, lcp, fillup + 1)
+
+
+def _run_of(order: np.ndarray, lcp: np.ndarray, shared: int):
+    """A function from a key of the sorted `order` to its run of the order
+    sharing `shared` bits."""
+    def run(key_id):
+        runs = np.cumsum(np.concatenate(([0], lcp < shared)))
+        return order[runs == runs[np.flatnonzero(order == key_id)[0]]]
+    return run
+
+
+def _random_level_counts(keys: KeySet, top: int) -> np.ndarray:
+    """Shared-prefix counts at levels 0 .. top of random keys, read `top`
+    bits deep: from their histogram where it fits, else from _sorted_lcp."""
+    ids = np.arange(len(keys), dtype=np.int64)
+    if _histogram_fits(top, len(keys)):
+        return _histogram_counts(_codes(keys, ids, 0, top), top)
+    return _level_counts(_sorted_lcp(keys, ids, depth=top)[1], top)
 
 
 def tabulate_profile(keys: KeySet) -> LevelProfile:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from alctrie import montecarlo
 from alctrie.analysis import prob_poisson_ge2
 from alctrie.cli import build_parser, main
 from alctrie.lctrie import compress, depth
@@ -188,6 +189,47 @@ def test_fraction_outside_its_domain_is_a_usage_error(capsys, argv, message):
         main(argv)
     out = capsys.readouterr()
     assert (err.value.code, out.out, out.err) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a seed outside 64 bits would alias another seed's output, or fail in
+    # numpy's generator for the Poisson sizes
+    (["sim-fillup", "--n", "64", "--seed", "-1"],
+     "--seed must lie in [0, 2**64), got -1"),
+    (["sim-fillup", "--lambda", "30", "--seed", "-1"],
+     "--seed must lie in [0, 2**64), got -1"),
+    (["sim-depth", "--n", "64", "--seed", str(2**64)],
+     f"--seed must lie in [0, 2**64), got {2**64}"),
+    (["sim-fillup", "--n", "64", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+    (["sim-depth", "--n", "64", "--trials", "-2"],
+     "--trials must be at least 1, got -2"),
+    (["sim-fillup", "--n", "64", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["sim-depth", "--n", "64", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
+    (["sim-fillup", "--n", "-5"], "--n must be at least 0, got -5"),
+    (["sim-depth", "--n", "-5"], "--n must be at least 2, got -5"),
+    (["sim-depth", "--n", "1"], "--n must be at least 2, got 1"),
+    (["predict", "--n", "-1"], "--n must be at least 0, got -1"),
+])
+def test_count_outside_its_domain_is_a_usage_error(capsys, monkeypatch, argv,
+                                                   message):
+    # checked before any trial runs
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(montecarlo, "_run_trials", no_trials)
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--p", "0.7", "--alpha", "0.5"])
+    out = capsys.readouterr()
+    assert (err.value.code, out.out, out.err) == (2, "", f"usage error: {message}\n")
+
+
+def test_last_seed_in_range_runs(capsys):
+    base = ("sim-fillup", "--n", "64", "--p", "0.7", "--alpha", "0.5",
+            "--trials", "4", "--jobs", "1", "--seed")
+    code, last, _ = run_cli(capsys, *base, str(2**64 - 1))
+    _, first, _ = run_cli(capsys, *base, "0")
+    assert code == 0 and last != first
 
 
 def test_simulations_take_the_classic_alpha_of_one(capsys):

@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from itertools import count
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,26 +370,80 @@ def test_root_reads_only_the_levels_that_decide_its_fillup(monkeypatch):
     assert level == alpha_fillup_level(tabulate_profile(keys), 0.5)
 
 
+def _shallow_first_read(p, alpha, m):
+    return min(2, _fillup_bound(m, alpha))
+
+
 @pytest.mark.parametrize("p, n, alpha", [
     (0.7, 4096, 0.5), (0.9, 1000, 0.25), (0.97, 48, 0.5),
 ])
 def test_undecided_first_read_falls_back_to_the_bound(p, n, alpha, monkeypatch):
     # a first read of at most 2 levels almost never holds a level below
-    # alpha, so each group is read again down to its fillup bound
+    # alpha, so each group reads on down to its fillup bound
     keys = generate_keys(SourceParams(p, trial_seed(31, 0)), n)
     config = ExperimentConfig(params=ModelParams(p=p, alpha=alpha, n=n),
                               trials=1, seed=31)
     want = (simulate_fillup(config).rows, designated_depth(keys, alpha, 0))
     reads = _recorded_reads(monkeypatch)
-    monkeypatch.setattr(trie, "_first_read",
-                        lambda p, alpha, m: min(2, _fillup_bound(m, alpha)))
+    monkeypatch.setattr(trie, "_first_read", _shallow_first_read)
     got = (simulate_fillup(config).rows, designated_depth(keys, alpha, 0))
     monkeypatch.undo()
     assert got == want
     assert got[1] == depth(compress(keys, alpha), 0)
-    # the root is read twice: two levels, then all of them
-    assert reads[:2] == [(n, 2), (n, _fillup_bound(n, alpha))]
+    # the root is read twice: two levels, then only the levels past them
+    assert reads[:2] == [(n, 2), (n, _fillup_bound(n, alpha) - 2)]
     assert all(w <= _fillup_bound(m, alpha) for m, w in reads)
+
+
+def _no_sort(*args, **kwargs):
+    raise AssertionError("a random group at alpha >= 1/4 was sorted")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([0.03, 0.5, 0.7, 0.97]),
+    m=st.integers(min_value=2, max_value=5000),
+    # 0.01 and 0.1 read past 4 histogram bins per key at the bound; from 1/4
+    # on every bound fits
+    alpha=st.sampled_from([0.01, 0.1, 0.25, 0.5, 1.0]),
+    base=st.sampled_from([0, 5, 64, 93]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    shallow=st.booleans(),
+    data=st.data(),
+)
+def test_histogram_counts_match_sorted_lcp(p, m, alpha, base, seed, shallow,
+                                           data):
+    keys = generate_keys(SourceParams(p, seed), m)
+    ids = np.random.default_rng(seed).permutation(m)
+    top = _fillup_bound(m, alpha)
+    for width in (1, 2, top):
+        codes = trie._codes(keys, ids, base, width)
+        assert (trie._histogram_counts(codes, width).tolist() ==
+                _level_counts(_sorted_lcp(keys, ids, base, width)[1], width).tolist())
+    # the walks take the histogram path, and its fallback when the first
+    # read is shallow, wherever it fits, and give compress's depths
+    probes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4,
+                                unique=True))
+    alc = compress(keys, alpha)
+    with mock.patch.object(trie, "_first_read",
+                           _shallow_first_read if shallow else trie._first_read), \
+         mock.patch.object(trie, "_sorted_lcp",
+                           _no_sort if alpha >= 0.25 else trie._sorted_lcp):
+        walks = [designated_depth(keys, alpha, i) for i in probes]
+    assert walks == [depth(alc, i) for i in probes]
+
+
+@pytest.mark.parametrize("p, n", [(0.5, 2), (0.7, 300), (0.97, 4096)])
+def test_fill_fraction_counts_match_sorted_lcp(p, n):
+    # the histogram counts every top with 2**top <= 4n, without a sort; the
+    # tops past it keep the capped sort
+    keys = generate_keys(SourceParams(p, 17), n)
+    fits = (4 * n).bit_length() - 1
+    for top in (0, 1, fits - 1, fits, fits + 1, 40):
+        want = _level_counts(_sorted_lcp(keys, depth=top)[1], top).tolist()
+        with mock.patch.object(trie, "_sorted_lcp",
+                               _no_sort if top <= fits else trie._sorted_lcp):
+            assert trie._random_level_counts(keys, top).tolist() == want
 
 
 def test_depth_raises_when_keys_do_not_match_the_trie():

@@ -107,6 +107,18 @@ def test_depth_requires_fixed_n():
         simulate_depth(config(lam=100.0, n=None))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        config(n=64, seed=seed)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_config_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        config(n=64, jobs=jobs)
+
+
 def test_depth_bounded_by_uncompressed_depth():
     cfg = config(n=96, trials=24, seed=31)
     summary = simulate_depth(cfg)
