@@ -54,12 +54,17 @@ class ModelParams:
             raise ValueError("exactly one of n and lam must be given")
         if self.n is not None and self.n < 0:
             raise ValueError("n must be nonnegative")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
     @property
     def is_poisson(self) -> bool:
         return self.lam is not None
+
+    @property
+    def model(self) -> str:
+        """The model's name in every output: "poisson" or "fixed_n"."""
+        return "poisson" if self.is_poisson else "fixed_n"
 
     @property
     def size(self) -> float:

@@ -8,7 +8,7 @@ error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 from .analysis import (
@@ -21,8 +21,11 @@ from .analysis import (
 from .lctrie import compress, longest_prefix_match, match_length, structure_stats
 from .montecarlo import (
     ExperimentConfig,
+    _config_echo,
+    csv_text,
     depth_csv,
     fillup_csv,
+    json_text,
     simulate_depth,
     simulate_fillup,
 )
@@ -30,14 +33,15 @@ from .source import KeyFileError, load_keys, parse_key_line
 
 
 def _parse_range(text: str) -> list[int]:
-    """Inclusive integer range "a..b", or a single integer."""
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """Inclusive range "a..b" of levels, or a single level."""
+    lo_s, dots, hi_s = text.partition("..")
+    lo = int(lo_s)
+    hi = int(hi_s) if dots else lo
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"negative level in {text!r}")
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _probability(text: str) -> float:
@@ -131,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_params(args, *, alpha=None, closed: bool = False,
+def _model_params(args, *, closed: bool = False,
                   least_n: int = 0) -> ModelParams:
-    """The model of the flags; closed admits alpha = 1 (the simulations)."""
+    """The model of the flags; closed admits alpha = 1 (the simulations),
+    and least_n is the floor of --n and of --lambda."""
     n = args.n
     lam = getattr(args, "lam", None)
     if (n is None) == (lam is None):
@@ -142,10 +147,13 @@ def _model_params(args, *, alpha=None, closed: bool = False,
         raise SystemExit(_usage_error(f"{need} required"))
     if n is not None:
         _check_count("--n", n, least_n)
-    alpha = alpha if alpha is not None else args.alpha
+    elif not 0 < lam < math.inf:
+        raise SystemExit(_usage_error(f"--lambda must be positive and finite, got {lam}"))
+    else:
+        _check_count("--lambda", lam, least_n)
     _check_fraction("--p", args.p)
-    _check_fraction("--alpha", alpha, closed=closed)
-    return ModelParams(p=args.p, alpha=alpha, n=n, lam=lam)
+    _check_fraction("--alpha", args.alpha, closed=closed)
+    return ModelParams(p=args.p, alpha=args.alpha, n=n, lam=lam)
 
 
 def _check_fraction(flag: str, value: float, *, closed: bool = False):
@@ -155,7 +163,7 @@ def _check_fraction(flag: str, value: float, *, closed: bool = False):
         raise SystemExit(_usage_error(f"{flag} must lie {domain}, got {value}"))
 
 
-def _check_count(flag: str, value: int, least: int):
+def _check_count(flag: str, value: float, least: int):
     """A usage error unless value is at least `least`."""
     if value < least:
         raise SystemExit(_usage_error(f"{flag} must be at least {least}, got {value}"))
@@ -177,69 +185,45 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _emit_table(header, rows, fmt, out):
-    if fmt == "json":
-        payload = {"columns": list(header), "rows": [list(r) for r in rows]}
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join("" if v is None else
-                           (repr(v) if isinstance(v, float) else str(v))
-                           for v in row) + "\n")
+def _emit_model_table(params, rows, fmt, out):
+    """predict's and expect's table: a row per (model, k, value)."""
+    header = ("model", "n_or_lambda", "p", "alpha", "k", "value")
+    rows = [(m, params.size, params.p, params.alpha, k, v) for m, k, v in rows]
+    out.write(json_text({"columns": header, "rows": rows}) if fmt == "json"
+              else csv_text(header, rows))
 
 
 def _cmd_predict(args, out):
-    params = _model_params(args)
-    size = params.size
-    closed = predict_level_closed_form(size, params.alpha, params.p)
+    params = _model_params(args, least_n=2)
+    closed = predict_level_closed_form(params.size, params.alpha, params.p)
     calibrated = predict_level_calibrated(params)
-    model = "poisson" if params.is_poisson else "fixed_n"
-    rows = [
-        ("closed_form", size, params.p, params.alpha, None, closed),
-        ("calibrated", size, params.p, params.alpha, calibrated, float(calibrated)),
-    ]
+    rows = [("closed_form", None, closed), ("calibrated", calibrated, float(calibrated))]
     if params.p != 0.5:
-        rows.append(("depth_alpha_lc", size, params.p, params.alpha, None,
-                     depth_constant(params.p, "alpha_lc")))
-        rows.append(("depth_full_lc", size, params.p, params.alpha, None,
-                     depth_constant(params.p, "full_lc")))
-    rows = [(f"{model}:{name}",) + tuple(rest) for name, *rest in rows]
-    _emit_table(("model", "n_or_lambda", "p", "alpha", "k", "value"), rows,
-                args.format, out)
+        rows += [(f"depth_{c}", None, depth_constant(params.p, c))
+                 for c in ("alpha_lc", "full_lc")]
+    _emit_model_table(params, [(f"{params.model}:{name}", k, v) for name, k, v in rows],
+                      args.format, out)
     return 0
 
 
 def _cmd_expect(args, out):
-    params = _model_params(args, alpha=args.alpha)
-    model = "poisson" if params.is_poisson else "fixed_n"
-    rows = [
-        (model, params.size, params.p, params.alpha, k,
-         expected_fill_fraction(params, k))
-        for k in args.k
-    ]
-    _emit_table(("model", "n_or_lambda", "p", "alpha", "k", "value"), rows,
-                args.format, out)
+    params = _model_params(args)
+    rows = [(params.model, k, expected_fill_fraction(params, k)) for k in args.k]
+    _emit_model_table(params, rows, args.format, out)
     return 0
 
 
 def _cmd_sim_fillup(args, out):
     config = _sim_config(args)
-    params = config.params
     hist = simulate_fillup(config)
     if args.format == "json":
-        payload = {
-            "config": {
-                "model": "poisson" if params.is_poisson else "fixed_n",
-                "n_or_lambda": params.size, "p": params.p, "alpha": params.alpha,
-                "trials": args.trials, "seed": args.seed,
-            },
+        out.write(json_text({
+            "config": _config_echo(config),
             "histogram": {str(k): v for k, v in hist.counts.items()},
             "undefined_trials": hist.undefined,
             "top_two_consecutive_mass": hist.top_two_consecutive_mass,
-            "rows": [list(r) for r in hist.rows],
-        }
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            "rows": hist.rows,
+        }))
     else:
         out.write(fillup_csv(hist))
     print(f"defined trials: {hist.defined}/{hist.trials}; "
@@ -252,16 +236,15 @@ def _cmd_sim_depth(args, out):
     config = _sim_config(args, least_n=2)
     summary = simulate_depth(config)
     if args.format == "json":
-        payload = {
+        out.write(json_text({
             "config": {"n": args.n, "p": args.p, "alpha": args.alpha,
                        "trials": args.trials, "seed": args.seed},
             "mean": summary.mean,
             "variance": summary.variance,
             "quantiles": {str(q): v for q, v in summary.quantiles.items()},
             "mean_over_loglog_n": summary.loglog_ratio,
-            "rows": [list(r) for r in summary.rows],
-        }
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            "rows": summary.rows,
+        }))
     else:
         out.write(depth_csv(summary))
     print(f"mean depth {summary.mean:.3f} over {summary.trials} trials",
@@ -274,25 +257,21 @@ def _cmd_build(args, out):
     keys = load_keys(args.keys)
     trie = compress(keys, args.alpha)
     stats = structure_stats(trie)
+    # in CSV order: one metric a line, the histogram last, a level a line
+    summary = {
+        "keys": len(keys),
+        "alpha": args.alpha,
+        "node_count": stats.node_count,
+        "empty_slot_fraction": stats.empty_slot_fraction,
+        "max_depth": stats.max_depth,
+        "consumed_histogram": {str(c): v for c, v in stats.consumed_histogram.items()},
+    }
     if args.format == "json":
-        payload = {
-            "keys": len(keys),
-            "alpha": args.alpha,
-            "node_count": stats.node_count,
-            "empty_slot_fraction": stats.empty_slot_fraction,
-            "consumed_histogram": {str(k): v
-                                   for k, v in stats.consumed_histogram.items()},
-            "max_depth": stats.max_depth,
-        }
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(json_text(summary))
     else:
-        rows = [("keys", len(keys)), ("alpha", args.alpha),
-                ("node_count", stats.node_count),
-                ("empty_slot_fraction", stats.empty_slot_fraction),
-                ("max_depth", stats.max_depth)]
-        rows.extend((f"consumed_{c}", v)
-                    for c, v in stats.consumed_histogram.items())
-        _emit_table(("metric", "value"), rows, "csv", out)
+        hist = summary.pop("consumed_histogram")
+        rows = [*summary.items(), *((f"consumed_{c}", v) for c, v in hist.items())]
+        out.write(csv_text(("metric", "value"), rows))
     return 0
 
 
@@ -313,12 +292,10 @@ def _cmd_query(args, out):
             else:
                 answers.append((kid, match_length(trie, bits, kid)))
     if args.format == "json":
-        payload = [None if a is None else {"key_id": a[0], "match_length": a[1]}
-                   for a in answers]
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        for a in answers:
-            out.write("none\n" if a is None else f"{a[0]},{a[1]}\n")
+        out.write(json_text([None if a is None else {"key_id": a[0], "match_length": a[1]}
+                             for a in answers]))
+    else:   # no header: a line per query, "none" only for an empty key set
+        out.write(csv_text(None, [("none",) if a is None else a for a in answers]))
     return 0
 
 

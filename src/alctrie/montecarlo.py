@@ -295,6 +295,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def csv_text(header, rows) -> str:
+    """The CSV encoding of every table: a header line (none if header is
+    None), then one line per row; None is an empty field, a float its repr."""
+    lines = list(rows) if header is None else [header, *rows]
+    return "".join(",".join(_fmt(v) for v in line) + "\n" for line in lines)
+
+
+def json_text(payload) -> str:
+    """The JSON encoding of every payload: sorted keys, a 2-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
 class Report:
     """A joined table of simulation estimates and analytic values."""
@@ -305,24 +317,17 @@ class Report:
     config: dict
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return csv_text(self.header, self.rows)
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "columns": self.header,
-            "rows": [list(row) for row in self.rows],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json_text({"kind": self.kind, "config": self.config,
+                          "columns": self.header, "rows": self.rows})
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
     p = config.params
     return {
-        "model": "poisson" if p.is_poisson else "fixed_n",
+        "model": p.model,
         "n_or_lambda": p.size,
         "p": p.p,
         "alpha": p.alpha,
@@ -384,13 +389,9 @@ def compare_report(config: ExperimentConfig, *, ks: list[int] | None = None,
 def fillup_csv(hist: FillupHistogram) -> str:
     """Per-trial CSV: trial, effective key count, fillup level (empty when
     the trial drew fewer than two keys)."""
-    lines = ["trial,n_effective,F"]
-    lines.extend(f"{t},{n},{_fmt(lvl)}" for t, n, lvl in hist.rows)
-    return "\n".join(lines) + "\n"
+    return csv_text(("trial", "n_effective", "F"), hist.rows)
 
 
 def depth_csv(summary: DepthSummary) -> str:
     """Per-trial CSV: trial, n, depth, consumed levels."""
-    lines = ["trial,n,D,consumed_total"]
-    lines.extend(f"{t},{n},{d},{c}" for t, n, d, c in summary.rows)
-    return "\n".join(lines) + "\n"
+    return csv_text(("trial", "n", "D", "consumed_total"), summary.rows)

@@ -414,9 +414,10 @@ def test_model_params_validation():
     classic = ModelParams(p=0.7, alpha=1.0, n=10)
     with pytest.raises(ValueError, match=r"strictly in \(0, 1\), got 1.0"):
         predict_level_calibrated(classic)
-    with pytest.raises(ValueError):
-        ModelParams(p=0.7, alpha=0.5, lam=0.0)
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            ModelParams(p=0.7, alpha=0.5, lam=lam)
     params = ModelParams(p=0.7, alpha=0.5, lam=64.0)
-    assert params.is_poisson and params.size == 64.0
+    assert params.is_poisson and params.size == 64.0 and params.model == "poisson"
     fixed = params.with_size(n=128)
-    assert not fixed.is_poisson and fixed.size == 128.0
+    assert not fixed.is_poisson and fixed.size == 128.0 and fixed.model == "fixed_n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -209,7 +210,17 @@ def test_fraction_outside_its_domain_is_a_usage_error(capsys, argv, message):
     (["sim-fillup", "--n", "-5"], "--n must be at least 0, got -5"),
     (["sim-depth", "--n", "-5"], "--n must be at least 2, got -5"),
     (["sim-depth", "--n", "1"], "--n must be at least 2, got 1"),
-    (["predict", "--n", "-1"], "--n must be at least 0, got -1"),
+    (["predict", "--n", "-1"], "--n must be at least 2, got -1"),
+    (["predict", "--n", "1"], "--n must be at least 2, got 1"),
+    (["predict", "--lambda", "1.5"], "--lambda must be at least 2, got 1.5"),
+    (["predict", "--lambda", "inf"], "--lambda must be positive and finite, got inf"),
+    (["expect", "--k", "2", "--lambda", "inf"],
+     "--lambda must be positive and finite, got inf"),
+    (["expect", "--k", "2", "--lambda", "0"],
+     "--lambda must be positive and finite, got 0.0"),
+    (["sim-fillup", "--lambda", "inf"], "--lambda must be positive and finite, got inf"),
+    (["sim-fillup", "--lambda", "nan"], "--lambda must be positive and finite, got nan"),
+    (["sim-fillup", "--lambda", "-1"], "--lambda must be positive and finite, got -1.0"),
 ])
 def test_count_outside_its_domain_is_a_usage_error(capsys, monkeypatch, argv,
                                                    message):
@@ -222,6 +233,15 @@ def test_count_outside_its_domain_is_a_usage_error(capsys, monkeypatch, argv,
         main([*argv, "--p", "0.7", "--alpha", "0.5"])
     out = capsys.readouterr()
     assert (err.value.code, out.out, out.err) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("levels", ["-3..1", "-2", "5..4"])
+def test_bad_level_range_is_a_usage_error(capsys, levels):
+    with pytest.raises(SystemExit) as err:
+        main(["expect", "--n", "64", "--p", "0.7", f"--k={levels}"])
+    out = capsys.readouterr()
+    assert (err.value.code, out.out) == (2, "")
+    assert "argument --k:" in out.err
 
 
 def test_last_seed_in_range_runs(capsys):
@@ -338,3 +358,86 @@ def test_help_documents_every_flag():
         help_text = subactions.choices[name].format_help()
         for flag in flags:
             assert flag in help_text, f"{name} help missing {flag}"
+
+
+# SHA-256 (first 16 hex digits) of what each command prints to stdout, in
+# each encoding.  The key file holds 300 distinct /24 prefixes; the queries
+# hit a stored /24, fall inside one, or diverge from every key.  Only an
+# empty key set answers "none".
+PINNED_RUNS = {
+    "predict": ["predict", "--n", "65536", "--p", "0.7", "--alpha", "0.5"],
+    "predict-poisson": ["predict", "--lambda", "1000.5", "--p", "0.5",
+                        "--alpha", "0.25"],
+    "expect": ["expect", "--n", "4096", "--p", "0.7", "--k", "0..14",
+               "--alpha", "0.3"],
+    "expect-poisson": ["expect", "--lambda", "1024", "--p", "0.5", "--k", "3..6"],
+    "sim-fillup": ["sim-fillup", "--n", "4096", "--p", "0.7", "--alpha", "0.5",
+                   "--trials", "5", "--seed", "11", "--jobs", "1"],
+    "sim-fillup-alpha1": ["sim-fillup", "--n", "4096", "--p", "0.7",
+                          "--alpha", "1.0", "--trials", "5", "--seed", "11",
+                          "--jobs", "1"],
+    # a mean of 2.5 keys leaves some trials with fewer than two: empty F
+    "sim-fillup-poisson": ["sim-fillup", "--lambda", "2.5", "--p", "0.7",
+                           "--alpha", "0.5", "--trials", "5", "--seed", "11",
+                           "--jobs", "1"],
+    "sim-depth": ["sim-depth", "--n", "4096", "--p", "0.7", "--alpha", "0.5",
+                  "--trials", "5", "--seed", "11", "--jobs", "1"],
+    "sim-depth-alpha1": ["sim-depth", "--n", "4096", "--p", "0.7",
+                         "--alpha", "1.0", "--trials", "5", "--seed", "11",
+                         "--jobs", "1"],
+    "build": ["build", "--keys", "{keys}", "--alpha", "0.5"],
+    "query": ["query", "--keys", "{keys}", "--queries", "{queries}",
+              "--alpha", "0.5"],
+    "build-empty": ["build", "--keys", "{empty}", "--alpha", "1.0"],
+    "query-empty": ["query", "--keys", "{empty}", "--queries", "{queries}"],
+}
+
+OUTPUT_DIGESTS = {
+    ("predict", "csv"): "374d3c947120dc46",
+    ("predict", "json"): "75aa176079993d9c",
+    ("predict-poisson", "csv"): "5d1b5c572793267d",
+    ("predict-poisson", "json"): "d7251fb314087e70",
+    ("expect", "csv"): "b715c837b2ab7634",
+    ("expect", "json"): "108999be589b253a",
+    ("expect-poisson", "csv"): "350eb8bdd202c198",
+    ("expect-poisson", "json"): "3c0f00e2746cdff2",
+    ("sim-fillup", "csv"): "04530721dcf42d38",
+    ("sim-fillup", "json"): "48c2c2307eaa9b6d",
+    ("sim-fillup-alpha1", "csv"): "1f8c3cecc37dba85",
+    ("sim-fillup-alpha1", "json"): "82252aec28cecbfc",
+    ("sim-fillup-poisson", "csv"): "707d5dc724011da3",
+    ("sim-fillup-poisson", "json"): "39cce370fa0f4c0f",
+    ("sim-depth", "csv"): "56495842ed3a29d9",
+    ("sim-depth", "json"): "3cacbe02fb035182",
+    ("sim-depth-alpha1", "csv"): "b2c2b0ac32e99c40",
+    ("sim-depth-alpha1", "json"): "53a2203042080dde",
+    ("build", "csv"): "657eb4b6d460860f",
+    ("build", "json"): "fc49b88db9abe181",
+    ("query", "csv"): "3df659330c376881",
+    ("query", "json"): "674724682b34706a",
+    ("build-empty", "csv"): "82ade09676a310db",
+    ("build-empty", "json"): "f6670f81557d4c6e",
+    ("query-empty", "csv"): "ef584d426fa0c3fb",
+    ("query-empty", "json"): "29267c9496aee6db",
+}
+
+
+def _pinned_files(tmp_path):
+    keys = tmp_path / "keys.txt"
+    keys.write_text("".join(f"{10 + i % 7}.{(i * 37) % 256}.{i % 256}.0/24\n"
+                            for i in range(300)))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("10.0.0.0/24\n11.37.1.200/32\n10.0.0.9/32\n"
+                       "192.168.1.1/32\n11.37.1.0/25\n0101\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no keys\n")
+    return {"keys": str(keys), "queries": str(queries), "empty": str(empty)}
+
+
+@pytest.mark.parametrize("run, fmt", sorted(OUTPUT_DIGESTS))
+def test_every_command_output_is_pinned(tmp_path, capsys, run, fmt):
+    files = _pinned_files(tmp_path)
+    argv = [a.format(**files) for a in PINNED_RUNS[run]]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == OUTPUT_DIGESTS[run, fmt]
