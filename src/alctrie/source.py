@@ -226,8 +226,12 @@ class KeySet:
 
     def bit_block(self, ids: np.ndarray, start: int, width: int) -> np.ndarray:
         """Bits [start, start+width) of the given keys as a (len(ids), width)
-        uint8 array.  Raises KeyExhaustedError if any finite key is too short.
+        uint8 array.  Raises KeyExhaustedError if any finite key is too short,
+        and ValueError if start or width is negative.
         """
+        if start < 0 or width < 0:
+            raise ValueError(
+                f"bit block start and width must be non-negative, got {start} and {width}")
         ids = np.asarray(ids, dtype=np.int64)
         if width == 0:
             return np.zeros((len(ids), 0), dtype=np.uint8)

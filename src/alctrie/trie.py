@@ -11,12 +11,11 @@ a contiguous range of the order.  The alpha-fillup level of m keys is decided
 by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
 random keys reads only that many bits of each key, and first a shallower
 read near their expected fillup level (`_first_read`), going on to the bound
-only if no level so far falls below alpha.  A random group whose w bits read
-fit a histogram of at most 4 bins per key, 2**w <= 4*m (every bound at
-alpha >= 1/4), is counted from a histogram of its w-bit codes halved level
-by level (`_histogram_counts`), with no sort.  Other random groups, and
-finite keys, are sorted: `_sorted_lcp` takes a cap, leaves keys tied on
-every bit above it tied, and clips their LCPs there.
+only if no level so far falls below alpha.  A random group whose bound fits
+one 64-bit word is counted from the codes its bits read spell
+(`_code_counts`): from a histogram halved level by level where it has at
+most 4 bins per key, else from the sorted codes' LCPs.  Finite keys, and
+random groups whose bound passes 64 bits, are sorted whole by `_sorted_lcp`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import ModelParams, predict_level_calibrated
-from .source import MAX_BIT_INDEX, KeySet
+from .source import KeySet
 
 __all__ = [
     "LevelProfile",
@@ -42,7 +41,6 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 4096
 _PACK_ROWS = 1 << 13     # rows padded to whole bytes at a time by _word
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class IndistinguishableKeysError(ValueError):
@@ -141,60 +139,45 @@ def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
     return 64 - np.frexp(x)[1].astype(np.int64)
 
 
-def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0,
-                depth: int | None = None):
+def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
     """The keys `ids` (default all) sorted by their bits from `base` on, with
     the longest common prefix of each adjacent pair: (order, lcp, codes).
 
     A finite key sorts before the keys it is a prefix of.  lcp[i] is the LCP
     of sorted keys i and i+1, counted from `base`; codes[i] packs bits
     base .. base+63 of key order[i], MSB first, 0 past a finite key's end.
-    Only runs tied on every word so far read their next 64 bits.  With
-    `depth`, no bit at or past base+depth is read: codes hold the first
-    min(depth, 64) bits, keys tied on all `depth` bits keep an arbitrary
-    order, and LCPs are clipped at `depth`.  Raises IndistinguishableKeysError
-    when a finite key is a prefix of another, or equal to it.
+    Only runs tied on every word so far read their next 64 bits.  Raises
+    IndistinguishableKeysError when a finite key is a prefix of another, or
+    equal to it.
     """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
-    stop = MAX_BIT_INDEX if depth is None else depth
-    width = min(stop, 64)
-    codes = _word(keys, ids, base, width)
+    codes = _word(keys, ids, base)
     # finite keys tied on every bit read break ties by the bits they have
     # left, so that a key sorts before its extensions; random keys run on
     lengths = None if keys.is_random else keys._lengths[ids] - base
     if lengths is not None:
         order = np.lexsort((lengths, codes))
         lengths = lengths[order]
-        codes = codes[order]
-    elif width <= 32:
-        # codes within the top 32 bits sort with each row's position below
-        # them several times faster than by argsort; sorted in place, they
-        # give the order and, less it, themselves sorted
-        codes |= np.arange(len(ids), dtype=np.uint64)
-        codes.sort()
-        order = codes & _LOW32
-        codes ^= order
     else:
         order = np.argsort(codes)
-        codes = codes[order]
+    codes = codes[order]
     order = ids[order]
-    lcp = np.minimum(_adjacent_lcp(codes), width)
+    lcp = _adjacent_lcp(codes)
+    width = 64
     tied = np.flatnonzero(lcp == width)
-    while (len(tied) and width < stop
-           and (lengths is None or width < lengths[tied + 1].max())):
+    while len(tied) and (lengths is None or width < lengths[tied + 1].max()):
         # the rows of the tied runs, re-sorted within each run by their next word
-        step = min(stop - width, 64)
         rows = np.union1d(tied, tied + 1)
         follows = np.isin(rows, tied + 1)
-        word = _word(keys, order[rows], base + width, step)
+        word = _word(keys, order[rows], base + width)
         runs = (word, np.cumsum(~follows))
         perm = np.lexsort(runs if lengths is None else (lengths[rows], *runs))
         order[rows] = order[rows][perm]
         if lengths is not None:
             lengths[rows] = lengths[rows][perm]
-        lcp[tied] = width + np.minimum(_adjacent_lcp(word[perm])[follows[1:]], step)
-        width += step
+        lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]
+        width += 64
         tied = np.flatnonzero(lcp == width)
     if lengths is not None:
         nested = np.flatnonzero(lcp >= lengths[:-1])   # a key sorts before its extensions
@@ -258,10 +241,14 @@ def _histogram_counts(codes: np.ndarray, width: int) -> np.ndarray:
     return counts
 
 
-def _histogram_fits(width: int, m: int) -> bool:
-    """Whether a histogram of m keys' `width`-bit codes has at most 4 bins per
-    key, 2**width <= 4*m, which holds for every fillup bound at alpha >= 1/4."""
-    return width <= (4 * m).bit_length() - 1
+def _code_counts(codes: np.ndarray, width: int) -> np.ndarray:
+    """Shared-prefix counts at levels 0 .. width (<= 64) of m keys whose first
+    `width` bits spell `codes`: from their histogram where it has at most 4
+    bins per key, 2**width <= 4*m (every fillup bound at alpha >= 1/4), else
+    from the LCPs of the sorted codes."""
+    if width <= (4 * len(codes)).bit_length() - 1:
+        return _histogram_counts(codes, width)
+    return _level_counts(_adjacent_lcp(np.sort(codes) << np.uint64(64 - width)), width)
 
 
 def _capped_fillup(keys: KeySet, ids: np.ndarray | None, base: int, alpha: float):
@@ -269,34 +256,29 @@ def _capped_fillup(keys: KeySet, ids: np.ndarray | None, base: int, alpha: float
     bits, and a function from one of them to the ids sharing its first F+1
     bits past `base`: its child group in a compressed node at `base`.
 
-    Random keys are read down to _first_read, and down to _fillup_bound only
-    if no level so far falls below alpha.  When their histogram fits at the
-    bound, the counts come from it (_histogram_counts), and a fallback reads
-    only the bits past the first read; otherwise, and for finite keys, which
-    are read whole so that any two nested keys among them raise, they come
-    from _sorted_lcp."""
+    Random keys whose bound fits one word are counted from their codes
+    (_code_counts), read down to _first_read, and down to _fillup_bound only
+    if no level so far falls below alpha, reading then only the bits past the
+    first read.  Finite keys, which are read whole so that any two nested
+    keys among them raise, and random keys whose bound passes 64 bits are
+    counted from _sorted_lcp."""
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
     m = len(ids)
     top = _fillup_bound(m, alpha)
-    read = _first_read(keys.params.p, alpha, m) if keys.is_random else top
-    if keys.is_random and _histogram_fits(top, m):
+    if keys.is_random and top <= 64:
+        read = _first_read(keys.params.p, alpha, m)
         codes = _codes(keys, ids, base, read)
-        fillup = _fillup(_histogram_counts(codes, read).tolist(), alpha)
+        fillup = _fillup(_code_counts(codes, read).tolist(), alpha)
         if fillup == read < top:   # no level up to `read` falls below alpha
             codes <<= np.uint64(top - read)
             codes |= _codes(keys, ids, base + read, top - read)
             read = top
-            fillup = _fillup(_histogram_counts(codes, top).tolist(), alpha)
+            fillup = _fillup(_code_counts(codes, top).tolist(), alpha)
         shift = np.uint64(read - fillup - 1)
         return fillup, lambda key_id: ids[
             (codes >> shift) == (codes[ids == key_id] >> shift)]
-    if read < top:
-        order, lcp = _sorted_lcp(keys, ids, base, read)[:2]
-        fillup = _fillup(_level_counts(lcp, read).tolist(), alpha)
-        if fillup < read:   # a level up to `read` falls below alpha
-            return fillup, _run_of(order, lcp, fillup + 1)
-    order, lcp = _sorted_lcp(keys, ids, base, top if keys.is_random else None)[:2]
+    order, lcp = _sorted_lcp(keys, ids, base)[:2]
     fillup = _fillup(_level_counts(lcp, top).tolist(), alpha)
     return fillup, _run_of(order, lcp, fillup + 1)
 
@@ -312,11 +294,10 @@ def _run_of(order: np.ndarray, lcp: np.ndarray, shared: int):
 
 def _random_level_counts(keys: KeySet, top: int) -> np.ndarray:
     """Shared-prefix counts at levels 0 .. top of random keys, read `top`
-    bits deep: from their histogram where it fits, else from _sorted_lcp."""
-    ids = np.arange(len(keys), dtype=np.int64)
-    if _histogram_fits(top, len(keys)):
-        return _histogram_counts(_codes(keys, ids, 0, top), top)
-    return _level_counts(_sorted_lcp(keys, ids, depth=top)[1], top)
+    bits deep (_code_counts), or, past 64 bits, from _sorted_lcp."""
+    if top > 64:
+        return _level_counts(_sorted_lcp(keys)[1], top)
+    return _code_counts(_codes(keys, np.arange(len(keys), dtype=np.int64), 0, top), top)
 
 
 def tabulate_profile(keys: KeySet) -> LevelProfile:

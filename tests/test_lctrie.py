@@ -42,6 +42,7 @@ from conftest import (
     random_queries,
     ref_compress,
     ref_external_depths,
+    ref_fillup_level,
     ref_lpm,
     same_structure,
 )
@@ -376,6 +377,7 @@ def _shallow_first_read(p, alpha, m):
 
 @pytest.mark.parametrize("p, n, alpha", [
     (0.7, 4096, 0.5), (0.9, 1000, 0.25), (0.97, 48, 0.5),
+    (0.7, 4096, 0.05),   # the root's bound does not fit the histogram
 ])
 def test_undecided_first_read_falls_back_to_the_bound(p, n, alpha, monkeypatch):
     # a first read of at most 2 levels almost never holds a level below
@@ -396,15 +398,28 @@ def test_undecided_first_read_falls_back_to_the_bound(p, n, alpha, monkeypatch):
 
 
 def _no_sort(*args, **kwargs):
-    raise AssertionError("a random group at alpha >= 1/4 was sorted")
+    raise AssertionError("a random group whose bound fits one word was sorted")
+
+
+def _sort_past_one_word(alpha):
+    """_sorted_lcp, failing for a group of random keys whose fillup bound at
+    alpha fits one 64-bit word: such a group is counted from its codes."""
+    sort = trie._sorted_lcp
+
+    def sorted_lcp(keys, ids=None, base=0):
+        m = len(keys) if ids is None else len(ids)
+        if _fillup_bound(m, alpha) <= 64:
+            _no_sort()
+        return sort(keys, ids, base)
+    return sorted_lcp
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     p=st.sampled_from([0.03, 0.5, 0.7, 0.97]),
     m=st.integers(min_value=2, max_value=5000),
-    # 0.01 and 0.1 read past 4 histogram bins per key at the bound; from 1/4
-    # on every bound fits
+    # 0.01 and 0.1 read past 4 histogram bins per key at the bound, and sort
+    # the codes; from 1/4 on every bound fits
     alpha=st.sampled_from([0.01, 0.1, 0.25, 0.5, 1.0]),
     base=st.sampled_from([0, 5, 64, 93]),
     seed=st.integers(min_value=0, max_value=2**32),
@@ -415,35 +430,74 @@ def test_histogram_counts_match_sorted_lcp(p, m, alpha, base, seed, shallow,
                                            data):
     keys = generate_keys(SourceParams(p, seed), m)
     ids = np.random.default_rng(seed).permutation(m)
-    top = _fillup_bound(m, alpha)
-    for width in (1, 2, top):
+    lcp = _sorted_lcp(keys, ids, base)[1]
+    for width in (1, 2, _fillup_bound(m, alpha)):
         codes = trie._codes(keys, ids, base, width)
-        assert (trie._histogram_counts(codes, width).tolist() ==
-                _level_counts(_sorted_lcp(keys, ids, base, width)[1], width).tolist())
-    # the walks take the histogram path, and its fallback when the first
-    # read is shallow, wherever it fits, and give compress's depths
+        want = _level_counts(lcp, width).tolist()
+        assert trie._histogram_counts(codes, width).tolist() == want
+        assert trie._code_counts(codes, width).tolist() == want
+    # the walks count every group whose bound fits one word from its codes,
+    # and read only the bits past a shallow first read, and give compress's
+    # depths
     probes = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4,
                                 unique=True))
     alc = compress(keys, alpha)
     with mock.patch.object(trie, "_first_read",
                            _shallow_first_read if shallow else trie._first_read), \
-         mock.patch.object(trie, "_sorted_lcp",
-                           _no_sort if alpha >= 0.25 else trie._sorted_lcp):
+         mock.patch.object(trie, "_sorted_lcp", _no_sort):
         walks = [designated_depth(keys, alpha, i) for i in probes]
     assert walks == [depth(alc, i) for i in probes]
 
 
 @pytest.mark.parametrize("p, n", [(0.5, 2), (0.7, 300), (0.97, 4096)])
 def test_fill_fraction_counts_match_sorted_lcp(p, n):
-    # the histogram counts every top with 2**top <= 4n, without a sort; the
-    # tops past it keep the capped sort
+    # every top within one word is counted from the keys' codes: by histogram
+    # where 2**top <= 4n, else by sorting the codes; only tops past 64 bits
+    # sort the keys
     keys = generate_keys(SourceParams(p, 17), n)
+    lcp = _sorted_lcp(keys)[1]
     fits = (4 * n).bit_length() - 1
-    for top in (0, 1, fits - 1, fits, fits + 1, 40):
-        want = _level_counts(_sorted_lcp(keys, depth=top)[1], top).tolist()
+    for top in (0, 1, fits - 1, fits, fits + 1, 40, 64, 70):
+        want = _level_counts(lcp, top).tolist()
         with mock.patch.object(trie, "_sorted_lcp",
-                               _no_sort if top <= fits else trie._sorted_lcp):
+                               _no_sort if top <= 64 else trie._sorted_lcp):
             assert trie._random_level_counts(keys, top).tolist() == want
+
+
+def _ref_designated_depth(tuples, alpha, key_id):
+    """(depth, consumed bits) of key key_id's path, each node's fillup level
+    counted from the prefixes of its group's bit tuples."""
+    group, base, steps = tuples, 0, 0
+    while len(group) > 1:
+        stop = base + ref_fillup_level([t[base:] for t in group], alpha) + 1
+        group = [t for t in group if t[base:stop] == tuples[key_id][base:stop]]
+        base, steps = stop, steps + 1
+    return steps, base
+
+
+@pytest.mark.parametrize("p, n, alpha", [
+    (0.5, 48, 1e-20), (0.5, 48, 1e-25),     # root bounds 72 and 88
+    (0.97, 24, 1e-20), (0.97, 24, 1e-25),   # root fillup levels 66 and 83
+    (0.97, 48, 1e-18),   # root bound 65; its groups of 10 and 3 keys fit a word
+])
+def test_groups_whose_bound_passes_64_bits_match_the_profile(p, n, alpha):
+    # a group whose bound passes one word is sorted whole by _sorted_lcp and
+    # its counts clipped at the bound; the others are counted from codes
+    config = ExperimentConfig(params=ModelParams(p=p, alpha=alpha, n=n),
+                              trials=1, seed=0)
+    keys, _, tuples = finite_from_random(p, trial_seed(0, 0), n, width=512)
+    assert _fillup_bound(n, alpha) > 64
+    level = alpha_fillup_level(tabulate_profile(keys), alpha)
+    assert _capped_fillup(keys, None, 0, alpha)[0] == level
+    assert simulate_fillup(config).rows == [(0, n, level)]
+    with mock.patch.object(trie, "_sorted_lcp", _sort_past_one_word(alpha)):
+        walks = [designated_depth(keys, alpha, i) for i in range(n)]
+    assert [(w.depth, w.consumed_total) for w in walks] == \
+        [_ref_designated_depth(tuples, alpha, i) for i in range(n)]
+    if p == 0.5:   # the root's 2**(level + 1) slots fit in memory
+        alc = compress(keys, alpha)
+        assert alc.root.consumed == level + 1
+        assert walks == [depth(alc, i) for i in range(n)]
 
 
 def test_depth_raises_when_keys_do_not_match_the_trie():
@@ -572,10 +626,9 @@ def test_skewed_sources_match_oracles_past_64_bits():
     def check(n, p, alpha, seed):
         ks, finite, tuples = finite_from_random(p, seed, n, width=512)
         prof = assert_profile(ks, finite)
-        # counts capped at the deepest shared level, read past bit 64
+        # counts read down to the deepest shared level, past bit 64
         top = len(prof) - 1
-        assert _level_counts(_sorted_lcp(ks, depth=top)[1], top).tolist() == \
-            prof.counts.tolist()
+        assert trie._random_level_counts(ks, top).tolist() == prof.counts.tolist()
         ref = ref_compress(list(enumerate(tuples)), alpha)
         assert same_structure(compress(ks, alpha).root, ref)
         deepest.append(len(prof) - 1)   # the largest LCP of two keys

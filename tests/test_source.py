@@ -492,6 +492,22 @@ def test_bit_threshold_is_exact():
             assert int(ks.bit_block(np.array([key_id]), index, 1)[0, 0]) == want
 
 
+@pytest.mark.parametrize("keys", [
+    KeySet.from_lines(["0101", "1100"]),
+    generate_keys(SourceParams(0.5, 1), 2),
+], ids=["finite", "random"])
+def test_negative_bit_index_or_width_rejected(keys):
+    # a negative index would read bits from the far end of a finite key's row
+    for start, width in ((-1, 1), (-2, 3), (0, -1), (2, -3)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            keys.bit_block(np.array([0]), start, width)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        keys[0].bit(-1)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        keys[0].prefix(-1)
+    assert keys[0].prefix(0) == ()
+
+
 def test_out_of_range_bit_index_rejected():
     ks = generate_keys(SourceParams(0.5, 1), 2)
     with pytest.raises(ValueError):

@@ -10,7 +10,10 @@ from alctrie.trie import (
     LevelProfile,
     UndefinedFillupError,
     _capped_fillup,
+    _code_counts,
+    _codes,
     _level_counts,
+    _random_level_counts,
     _sorted_lcp,
     _word,
     alpha_fillup_level,
@@ -179,21 +182,23 @@ def test_depth_cap():
 
 
 def test_shared_prefix_counts_early_stop_matches_full():
-    # a sort capped at `top` bits gives the full sort's LCPs clipped there
-    # (keys tied on all `top` bits may come in any order), and so the full
-    # profile's counts cut at `top`
-    # (at p = 0.97 keys tie past bit 64, and a cap of 70 cuts the second word)
+    # counts read only `top` bits deep give the full profile's counts cut at
+    # `top`: the full sort's LCPs clipped there, and, for tops within one
+    # word, the keys' `top`-bit codes in any order, by histogram or by sort
+    # (at p = 0.97 keys tie past bit 64, and a top of 70 reads a second word)
     for ks in (generate_keys(SourceParams(0.7, 5150), 200),
                generate_keys(SourceParams(0.97, 5150), 64)):
-        full_lcp = _sorted_lcp(ks)[1]
+        order, full_lcp, codes = _sorted_lcp(ks)
+        # codes are the first 64 bits of the keys in order
+        assert codes.tolist() == _word(ks, order, 0).tolist()
         full = tabulate_profile(ks).counts.tolist()
+        ids = np.random.default_rng(5150).permutation(len(ks))
         for top in (0, 1, 7, 17, 64, 70, len(full) - 1, len(full) + 5):
-            order, lcp, codes = _sorted_lcp(ks, depth=top)
-            # codes are the first min(top, 64) bits of the keys in order
-            assert codes.tolist() == _word(ks, order, 0, min(top, 64)).tolist()
-            assert sorted(lcp.tolist()) == sorted(np.minimum(full_lcp, top).tolist())
-            capped = _level_counts(lcp, top).tolist()
-            assert capped == (full + [0] * (top + 1))[:top + 1]
+            capped = (full + [0] * (top + 1))[:top + 1]
+            assert _level_counts(full_lcp, top).tolist() == capped
+            assert _random_level_counts(ks, top).tolist() == capped
+            if top <= 64:
+                assert _code_counts(_codes(ks, ids, 0, top), top).tolist() == capped
         for alpha in (0.25, 0.5, 0.9):
             assert (_capped_fillup(ks, None, 0, alpha)[0]
                     == alpha_fillup_level(tabulate_profile(ks), alpha))
