@@ -9,7 +9,6 @@ over full subtrees.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,9 @@ __all__ = [
     "structure_stats",
 ]
 
+# the widest node compress builds: 2**32 slots, 32 GiB of int64
+MAX_NODE_WIDTH = 32
+
 
 class AlcNode:
     """A compressed node: `consumed` underlying trie levels collapsed into one
@@ -55,15 +57,45 @@ class AlcNode:
         return f"AlcNode(consumed={self.consumed}, filled_slots={filled})"
 
 
-@dataclass
+@dataclass(eq=False)
 class AlcTrie:
+    """A compressed trie over `keyset` as flat arrays, nodes numbered one node
+    depth after another from the root, node 0.
+
+    Node v consumes consumed[v] levels and owns the 2**consumed[v] slots of
+    `slots` from first[v] on; a slot holds a key id, -1 when empty, or ~u for
+    child node u (the root is no child, so ~u <= -2).  Node v's keys are
+    order[lo[v]:hi[v]], `order` being the keys in sorted order, and `height`
+    is the number of node depths.  A set of fewer than two keys has no node.
+    """
+
     keyset: KeySet
     alpha: float
-    root: "AlcNode | int | None"
+    order: np.ndarray
+    consumed: np.ndarray
+    first: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    slots: np.ndarray
+    height: int
 
     @property
     def n(self) -> int:
         return len(self.keyset)
+
+    @property
+    def root(self) -> "AlcNode | int | None":
+        """The trie as AlcNode objects, built afresh on each read: the root
+        node, the lone key's id, or None for an empty set."""
+        if not self.height:
+            return 0 if self.n else None
+        nodes = [None] * len(self.consumed)
+        for v in reversed(range(len(nodes))):   # a child follows its parent
+            c = self.consumed.item(v)
+            cells = self.slots[self.first[v]:self.first[v] + (1 << c)].tolist()
+            nodes[v] = AlcNode(c, [None if s == -1 else s if s >= 0 else nodes[~s]
+                                   for s in cells])
+        return nodes[0]
 
 
 @dataclass(frozen=True)
@@ -92,23 +124,23 @@ def compress(keys: KeySet, alpha: float,
     F+1 levels, F being the group's own alpha-fillup level; its slots are the
     (F+1)-bit extensions.  Finite keys must carry enough bits to address the
     slot of every compressed node on their path, otherwise the construction
-    raises (keys are never padded).  Of several such faults and nodes past
-    depth_cap, the one a depth-first build meets first is raised.
+    raises (keys are never padded).  Of several such faults, nodes past
+    depth_cap and nodes over MAX_NODE_WIDTH levels wide, the one a
+    depth-first build meets first is raised.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     n = len(keys)
     if n < 2:
-        return AlcTrie(keyset=keys, alpha=alpha, root=0 if n else None)
+        return AlcTrie(keys, alpha, np.arange(n), *[np.zeros(0, np.int64)] * 5, 0)
     order, lcp, codes = _sorted_lcp(keys)
     lcp = np.append(lcp, -1)
     lengths = None if keys.is_random else keys._lengths[order]
     need = alpha * np.exp2(np.arange(_fillup_bound(n, alpha) + 1))  # alpha * 2**k
-    # a wave is the groups at one node depth, runs of the order positions
-    # `pos`; group g has size[g] keys sharing base[g] bits and fills spots[g]
-    root = [None]
+    # a wave is the nodes at one depth, numbered from `count` on: node g is a
+    # run of size[g] order positions in `pos`, keys sharing base[g] bits
     pos, size, base = np.arange(n), np.array([n]), np.zeros(1, np.int64)
-    spots, error = [(root, 0)], None
+    waves, count, error = [], 0, None
     while len(size):
         rows = np.arange(len(size)).repeat(size)
         # a group's last key shares under `base` bits with the next: -1 ends it
@@ -118,24 +150,27 @@ def compress(keys: KeySet, alpha: float,
         top = _fillup_bound(int(np.maximum.reduce(size)), alpha)
         consumed = (_level_counts(rel, top, rows) >= need[:top + 1]).argmin(axis=1)
         stop = base + consumed
-        nodes = [[None] * (1 << c) for c in consumed.tolist()]
-        for (holder, spot), c, children in zip(spots, consumed.tolist(), nodes):
-            holder[spot] = AlcNode(consumed=c, children=children)
+        lo = pos[np.cumsum(size) - size]
+        hi = lo + size
         # each child is a run of a group's keys sharing `stop` bits
         ends = (rel < consumed[rows]).nonzero()[0] + 1
         starts = np.concatenate(([0], ends[:-1]))
         size, parent, at = ends - starts, rows[starts], pos[starts]
-        # depth first, a node's cap check precedes its children's and a child's
-        # too-short check its own node's: the first fault is at the first child
-        # short or with a capped parent; later waves keep the groups before it
-        capped = stop[parent] > depth_cap
-        bad = capped if lengths is None else capped | (lengths[at] < stop[parent])
+        # depth first, a node's cap and width checks precede its children's and
+        # a child's too-short check its own node's: the first fault is at the first
+        # child short or with a faulty parent; later waves keep the groups before it
+        capped, wide = stop[parent] > depth_cap, consumed[parent] > MAX_NODE_WIDTH
+        short = False if lengths is None else lengths[at] < stop[parent]
+        bad = capped | wide | short
         del rows, rel, ends, starts   # lowers the heap's high-water mark
         if bad.any():
             c = bad.argmax()
             g = parent[c]
             error = (DepthCapError(f"compression exceeded depth cap {depth_cap} "
                                    f"at level {stop[g]}") if capped[c] else
+                     ValueError(f"node at level {base[g]} would consume "
+                                f"{consumed[g]} levels: 2**{consumed[g]} slots, "
+                                f"more than 2**{MAX_NODE_WIDTH}") if wide[c] else
                      IndistinguishableKeysError(
                          f"key {order[at[c]]} is too short to address a slot "
                          f"spanning levels {base[g]}..{stop[g] - 1}"))
@@ -148,37 +183,45 @@ def compress(keys: KeySet, alpha: float,
             i = deep[base[deep] == b]
             slot[i] = _word(keys, order[at[i]], b, int(width[i].max()))
         slot >>= (64 - width).astype(np.uint64)
-        leaf = size == 1
-        for p, s, kid in zip(parent[leaf].tolist(), slot[leaf].tolist(),
-                             order[at[leaf]].tolist()):
-            nodes[p][s] = kid
-        group = ~leaf
+        group = size > 1
+        count += len(consumed)
+        if error is None:   # a faulty trie, and a node too wide, get no slots
+            span = 1 << consumed
+            cells = np.full(int(span.sum()), -1, np.int64)
+            cells[(np.cumsum(span) - span)[parent] + slot.astype(np.int64)] = \
+                np.where(group, ~(count + np.cumsum(group) - 1), order[at])
+            waves.append((consumed, lo, hi, cells))
         pos = pos[:size.sum()][group.repeat(size)]
-        size, parent, base = size[group], parent[group], base[group] + width[group]
-        spots = list(zip([nodes[p] for p in parent.tolist()], slot[group].tolist()))
+        size, base = size[group], base[group] + width[group]
     if error is not None:
         raise error
-    return AlcTrie(keyset=keys, alpha=alpha, root=root[0])
+    consumed, lo, hi, slots = map(np.concatenate, zip(*waves))
+    span = 1 << consumed
+    return AlcTrie(keys, alpha, order, consumed, np.cumsum(span) - span, lo, hi,
+                   slots, len(waves))
 
 
 def depth(alc: AlcTrie, key_id: int) -> DepthSample:
     """Number of compressed nodes on the path to key_id's external slot."""
     if not (0 <= key_id < alc.n):
         raise KeyError(f"unknown key id {key_id}")
-    node = alc.root
     level = 0
     steps = 0
     ids = np.array([key_id], dtype=np.int64)
-    while isinstance(node, AlcNode):
-        slot = int(_word(alc.keyset, ids, level, node.consumed)[0]
-                   ) >> (64 - node.consumed)
-        level += node.consumed
+    node = 0 if alc.height else None
+    cell = 0   # a one-key set's root is its key
+    while node is not None:
+        consumed = alc.consumed.item(node)
+        slot = int(_word(alc.keyset, ids, level, consumed)[0]) >> (64 - consumed)
+        cell = alc.slots.item(alc.first.item(node) + slot)
+        node = ~cell if cell < -1 else None
+        level += consumed
         steps += 1
-        node = node.children[slot]
-    if node != key_id:
+    if cell != key_id:
         raise RuntimeError(
-            f"key {key_id}'s bits lead to {node!r} at level {level}, not to its "
-            f"own slot; the trie does not belong to this key set"
+            f"key {key_id}'s bits lead to {None if cell == -1 else cell!r} at "
+            f"level {level}, not to its own slot; the trie does not belong to "
+            f"this key set"
         )
     return DepthSample(key_id=key_id, depth=steps, consumed_total=level)
 
@@ -244,28 +287,6 @@ def _agreement(keys: KeySet, key_id: int, query: tuple[int, ...], pos: int) -> i
     return i
 
 
-def _subtree_leaves(node):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, AlcNode):
-            stack.extend(c for c in cur.children if c is not None)
-        else:
-            yield cur
-
-
-def _best_in_subtree(keys, node, query, pos):
-    """Best (longest common prefix, smallest id) among the subtree's keys,
-    all of which agree with the query on the first pos bits."""
-    best_len = -1
-    best_id = None
-    for kid in _subtree_leaves(node):
-        ell = _agreement(keys, kid, query, pos)
-        if ell > best_len or (ell == best_len and kid < best_id):
-            best_len, best_id = ell, kid
-    return best_id
-
-
 def longest_prefix_match(alc: AlcTrie, query) -> int | None:
     """Id of the stored key sharing the longest prefix with the query.
 
@@ -274,29 +295,26 @@ def longest_prefix_match(alc: AlcTrie, query) -> int | None:
     keys compare by their full length.
     """
     bits = _query_bits(query)
-    node = alc.root
-    if node is None:
-        return None
-    keys = alc.keyset
-    pos = 0
-    while isinstance(node, AlcNode):
-        consumed = node.consumed
-        if len(bits) - pos < consumed:
-            # query ends inside this node: all keys below agree up to pos
-            return _best_in_subtree(keys, node, bits, pos)
+    if not alc.height:
+        return 0 if alc.n else None
+    node = pos = 0
+    while True:
+        end = pos + alc.consumed.item(node)
         slot = 0
-        for b in bits[pos : pos + consumed]:
+        for b in bits[pos:end]:
             slot = (slot << 1) | b
-        child = node.children[slot]
-        if child is None:
-            # no key follows the query through this stride; the best match
-            # diverges somewhere within it
-            return _best_in_subtree(keys, node, bits, pos)
-        node = child
-        pos += consumed
-    # external slot reached: this key agrees on every consumed bit, so it
-    # strictly beats all keys that fell off the path earlier
-    return node
+        # a query that ends inside the node, or whose stride leads to an
+        # empty slot, diverges from every key below within this node
+        cell = alc.slots.item(alc.first.item(node) + slot) if end <= len(bits) else -1
+        if cell == -1:
+            # all of its keys agree up to pos: the longest match, then smallest id
+            kids = alc.order[alc.lo[node]:alc.hi[node]].tolist()
+            return min(kids, key=lambda k: (-_agreement(alc.keyset, k, bits, pos), k))
+        if cell >= 0:
+            # external slot reached: this key agrees on every consumed bit, so
+            # it strictly beats all keys that fell off the path earlier
+            return cell
+        node, pos = ~cell, end
 
 
 def match_length(alc: AlcTrie, query, key_id: int) -> int:
@@ -307,29 +325,11 @@ def match_length(alc: AlcTrie, query, key_id: int) -> int:
 def structure_stats(alc: AlcTrie) -> StructureStats:
     """Node count, slot occupancy, consumed-value histogram, and maximum
     compressed depth of the trie."""
-    hist: Counter[int] = Counter()
-    node_count = 0
-    total_slots = 0
-    empty_slots = 0
-    max_depth = 0
-    stack: list[tuple[object, int]] = []
-    if isinstance(alc.root, AlcNode):
-        stack.append((alc.root, 1))
-    while stack:
-        node, d = stack.pop()
-        node_count += 1
-        hist[node.consumed] += 1
-        max_depth = max(max_depth, d)
-        total_slots += len(node.children)
-        for child in node.children:
-            if child is None:
-                empty_slots += 1
-            elif isinstance(child, AlcNode):
-                stack.append((child, d + 1))
-    fraction = empty_slots / total_slots if total_slots else 0.0
+    widths, counts = np.unique(alc.consumed, return_counts=True)
+    empty = int(np.count_nonzero(alc.slots == -1))
     return StructureStats(
-        node_count=node_count,
-        empty_slot_fraction=fraction,
-        consumed_histogram=dict(sorted(hist.items())),
-        max_depth=max_depth,
+        node_count=len(alc.consumed),
+        empty_slot_fraction=empty / len(alc.slots) if len(alc.slots) else 0.0,
+        consumed_histogram=dict(zip(widths.tolist(), counts.tolist())),
+        max_depth=alc.height,
     )

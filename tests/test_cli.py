@@ -338,6 +338,18 @@ def test_build_long_shared_prefix(tmp_path, capsys):
     assert err == "error: compression exceeded depth cap 4096 at level 4098\n"
 
 
+@pytest.mark.parametrize("shared, alpha", [(40, "1e-12"), (70, "1e-21")])
+def test_build_refuses_a_node_too_wide(tmp_path, capsys, shared, alpha):
+    # a tiny alpha makes the root consume every shared level, 2**shared
+    # slots: refused before any slot is allocated
+    keys = tmp_path / "keys.txt"
+    keys.write_text("0" * shared + "0\n" + "0" * shared + "1\n")
+    code, out, err = run_cli(capsys, "build", "--keys", str(keys), "--alpha", alpha)
+    assert (code, out) == (1, "")
+    assert err == (f"error: node at level 0 would consume {shared} levels: "
+                   f"2**{shared} slots, more than 2**32\n")
+
+
 def test_help_documents_every_flag():
     parser = build_parser()
     expected = {

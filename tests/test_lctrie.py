@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from alctrie.lctrie import (
+    MAX_NODE_WIDTH,
     AlcNode,
-    AlcTrie,
+    StructureStats,
     compress,
     depth,
     designated_depth,
@@ -177,6 +179,9 @@ def test_structure_stats_small_cases():
     one = structure_stats(compress(generate_keys(SourceParams(0.5, 0), 1), 0.5))
     assert one.node_count == 0
     assert one.max_depth == 0
+    none = structure_stats(compress(generate_keys(SourceParams(0.5, 0), 0), 0.5))
+    assert none == StructureStats(node_count=0, empty_slot_fraction=0.0,
+                                  consumed_histogram={}, max_depth=0)
 
 
 def test_structure_stats_consistency():
@@ -225,6 +230,10 @@ def test_lpm_deeper_key_wins():
 def test_lpm_tie_breaks_to_smallest_id():
     ks = keys_from("000", "001")
     alc = compress(ks, 1.0)
+    assert longest_prefix_match(alc, "01") == 0
+    assert longest_prefix_match(alc, "") == 0
+    # sorted order puts key 1 first: the tie goes by id, not by position
+    alc = compress(keys_from("001", "000"), 1.0)
     assert longest_prefix_match(alc, "01") == 0
     assert longest_prefix_match(alc, "") == 0
 
@@ -503,8 +512,7 @@ def test_groups_whose_bound_passes_64_bits_match_the_profile(p, n, alpha):
 def test_depth_raises_when_keys_do_not_match_the_trie():
     # a structure built over one key set, walked with another set's bits
     alc = compress(generate_keys(SourceParams(0.5, 1), 64), 0.5)
-    other = AlcTrie(keyset=generate_keys(SourceParams(0.5, 2), 64), alpha=0.5,
-                    root=alc.root)
+    other = dataclasses.replace(alc, keyset=generate_keys(SourceParams(0.5, 2), 64))
     with pytest.raises(RuntimeError, match=r"^key 5's bits lead to .* at level \d+"):
         depth(other, 5)
 
@@ -523,9 +531,10 @@ def ref_slot_ends(node, base=0) -> dict:
 
 def ref_first_fault(lines, alpha, depth_cap=DEFAULT_DEPTH_CAP):
     """The message of the first fault a depth-first build over the distinct,
-    prefix-free 0/1 strings `lines` meets, or None: a node past depth_cap,
-    or a key too short to address its slot.  Fillup levels are counted from
-    the strings' prefixes, and children are visited in slot order."""
+    prefix-free 0/1 strings `lines` meets, or None: a node past depth_cap, a
+    node wider than MAX_NODE_WIDTH levels, or a key too short to address its
+    slot.  Fillup levels are counted from the strings' prefixes, and children
+    are visited in slot order."""
     def fillup(group, base):
         level = 0
         for k in count(1):
@@ -538,6 +547,9 @@ def ref_first_fault(lines, alpha, depth_cap=DEFAULT_DEPTH_CAP):
         stop = base + fillup([lines[i] for i in ids], base) + 1
         if stop > depth_cap:
             return f"compression exceeded depth cap {depth_cap} at level {stop}"
+        if stop - base > MAX_NODE_WIDTH:
+            return (f"node at level {base} would consume {stop - base} levels: "
+                    f"2**{stop - base} slots, more than 2**{MAX_NODE_WIDTH}")
         children = {}
         for i in ids:   # a short key's slot is its bits, zero padded
             slot = lines[i][base:stop].ljust(stop - base, "0")
@@ -719,6 +731,18 @@ def test_designated_depth_past_bit_64(alpha):
     # the cap, eight nodes down under 0, comes before keys 1 and 0 fall short
     (["1", "011", "0101", "01000" + "0" * 20, "01000" + "0" * 19 + "1"],
      0.5, 16, DepthCapError, "compression exceeded depth cap 16 at level 18"),
+    # a tiny alpha makes the root as wide as the keys' shared prefix: 40 and
+    # 70 levels would be 2**40 and 2**70 slots
+    (["0" * 41, "0" * 40 + "1"], 1e-12, DEFAULT_DEPTH_CAP, ValueError,
+     "node at level 0 would consume 40 levels: 2**40 slots, more than 2**32"),
+    (["0" * 71, "0" * 70 + "1"], 1e-21, DEFAULT_DEPTH_CAP, ValueError,
+     "node at level 0 would consume 70 levels: 2**70 slots, more than 2**32"),
+    # a node's width is checked before its children fall short (key 2 here),
+    # and after its depth cap (the next case)
+    (["0" * 41, "0" * 40 + "1", "1"], 1e-12, DEFAULT_DEPTH_CAP, ValueError,
+     "node at level 0 would consume 40 levels: 2**40 slots, more than 2**32"),
+    (["0" * 41, "0" * 40 + "1"], 1e-12, 16, DepthCapError,
+     "compression exceeded depth cap 16 at level 40"),
 ])
 def test_first_fault_depth_first_is_raised(lines, alpha, depth_cap, error,
                                            message):
@@ -759,5 +783,15 @@ def cidr_table(seed: int, n: int) -> KeySet:
 def test_structures_at_scale_match_pinned_digests():
     skewed = generate_keys(SourceParams(0.9, 2024), 16_384)
     assert len(tabulate_profile(skewed)) > 65   # keys share more than 64 bits
-    assert preorder_digest(compress(skewed, 0.5).root) == SKEWED_DIGEST
-    assert preorder_digest(compress(cidr_table(7, 20_000), 0.5).root) == CIDR_DIGEST
+    alc = compress(skewed, 0.5)
+    assert preorder_digest(alc.root) == SKEWED_DIGEST
+    assert structure_stats(alc) == StructureStats(
+        node_count=21_631, empty_slot_fraction=0.5996503496503497,
+        consumed_histogram={1: 2108, 2: 17588, 3: 1538, 4: 345, 5: 38, 6: 11,
+                            7: 1, 8: 2},
+        max_depth=31)
+    alc = compress(cidr_table(7, 20_000), 0.5)
+    assert preorder_digest(alc.root) == CIDR_DIGEST
+    assert structure_stats(alc) == StructureStats(
+        node_count=8_906, empty_slot_fraction=0.3687210622870621,
+        consumed_histogram={1: 3368, 2: 5407, 3: 130, 14: 1}, max_depth=6)
