@@ -8,10 +8,12 @@ Carlo experiments tying the two together.
 
 from .source import (
     DuplicateKeyError,
+    IndistinguishableKeysError,
     Key,
     KeyExhaustedError,
     KeyFileError,
     KeySet,
+    NestedKeyError,
     SourceParams,
     generate_keys,
     load_keys,
@@ -20,7 +22,6 @@ from .source import (
 )
 from .trie import (
     DepthCapError,
-    IndistinguishableKeysError,
     LevelProfile,
     UndefinedFillupError,
     alpha_fillup_level,

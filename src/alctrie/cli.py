@@ -280,7 +280,7 @@ def _cmd_query(args, out):
     keys = load_keys(args.keys)
     trie = compress(keys, args.alpha)
     answers = []
-    with open(args.queries, "r", encoding="utf-8") as fh:
+    with open(args.queries, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -21,6 +21,8 @@ __all__ = [
     "KeySet",
     "KeyFileError",
     "DuplicateKeyError",
+    "IndistinguishableKeysError",
+    "NestedKeyError",
     "KeyExhaustedError",
     "generate_keys",
     "load_keys",
@@ -41,7 +43,7 @@ _HASH_CHUNK = 1 << 16    # words hashed per band by bit_block, to stay in cache
 
 
 class KeyFileError(ValueError):
-    """A key file line failed to parse. Carries the 1-based line number."""
+    """A key file line was malformed or refused. Carries the 1-based line number."""
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
@@ -50,6 +52,14 @@ class KeyFileError(ValueError):
 
 class DuplicateKeyError(KeyFileError):
     """Two lines of a key file produced the same bit string."""
+
+
+class IndistinguishableKeysError(ValueError):
+    """Two or more keys ran out of bits while still sharing a prefix."""
+
+
+class NestedKeyError(KeyFileError, IndistinguishableKeysError):
+    """A key of a key file extends a shorter key of the same file."""
 
 
 class KeyExhaustedError(LookupError):
@@ -113,8 +123,11 @@ class Key:
 
     def bit(self, i: int) -> int:
         keyset = self.keyset
-        if keyset._lengths is None and 0 <= i < MAX_BIT_INDEX:
-            return keyset._random_bit(int(self.id), int(i))
+        if keyset._lengths is None:
+            if 0 <= i < MAX_BIT_INDEX:
+                return keyset._random_bit(int(self.id), int(i))
+        elif 0 <= i < keyset._lengths[self.id]:
+            return int(keyset._finite_bits[self.id, i])
         return int(keyset.bit_block(np.array([self.id], dtype=np.int64), i, 1)[0, 0])
 
     def prefix(self, k: int) -> tuple[int, ...]:
@@ -182,6 +195,14 @@ class KeySet:
                 raise DuplicateKeyError(
                     f"duplicate key {line!r} (same bits as line {first})", line_no
                 )
+        # the first key, in file order, that extends a shorter key of the file
+        sizes = sorted({length for length, _ in seen})
+        for (length, value), line_no in seen.items() if len(sizes) > 1 else ():
+            for k in sizes[:sizes.index(length)]:   # the shortest first
+                first = seen.get((k, value >> (length - k)))
+                if first is not None:
+                    raise NestedKeyError(
+                        f"key extends the {k}-bit key on line {first}", line_no)
         n = len(seen)
         lengths = np.fromiter((length for length, _ in seen), dtype=np.int64,
                               count=n)
@@ -197,7 +218,7 @@ class KeySet:
 
     @classmethod
     def from_file(cls, path) -> "KeySet":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.from_lines(fh, origin=str(path))
 
     # -- basic container behaviour ------------------------------------------
@@ -305,8 +326,9 @@ def generate_keys(params: SourceParams, n: int) -> KeySet:
 def load_keys(path) -> KeySet:
     """Load finite keys from a file of 0/1 lines or IPv4 CIDR prefixes.
 
-    Lines starting with '#' and blank lines are skipped.  Duplicate keys and
-    malformed lines raise errors carrying the offending line number.
+    Lines starting with '#' and blank lines are skipped, as is a leading
+    UTF-8 byte order mark.  Malformed lines, duplicate keys and keys that
+    extend another key raise errors carrying the offending line number.
     """
     return KeySet.from_file(path)
 

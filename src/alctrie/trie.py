@@ -11,11 +11,11 @@ a contiguous range of the order.  The alpha-fillup level of m keys is decided
 by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
 random keys reads only that many bits of each key, and first a shallower
 read near their expected fillup level (`_first_read`), going on to the bound
-only if no level so far falls below alpha.  A random group whose bound fits
-one 64-bit word is counted from the codes its bits read spell
-(`_code_counts`): from a histogram halved level by level where it has at
-most 4 bins per key, else from the sorted codes' LCPs.  Finite keys, and
-random groups whose bound passes 64 bits, are sorted whole by `_sorted_lcp`.
+only if no level so far falls below alpha.  A group whose bound fits one
+64-bit word is counted from the codes its bits read spell (`_code_counts`):
+from a histogram halved level by level where it has at most 4 bins per key,
+else from the sorted codes' LCPs; finite keys read straight to the bound.
+Groups whose bound passes 64 bits are sorted whole by `_sorted_lcp`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import ModelParams, predict_level_calibrated
-from .source import KeySet
+from .source import IndistinguishableKeysError, KeySet
 
 __all__ = [
     "LevelProfile",
@@ -41,10 +41,6 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 4096
 _PACK_ROWS = 1 << 13     # rows padded to whole bytes at a time by _word
-
-
-class IndistinguishableKeysError(ValueError):
-    """Two or more keys ran out of bits while still sharing a prefix."""
 
 
 class DepthCapError(RuntimeError):
@@ -143,49 +139,31 @@ def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
     """The keys `ids` (default all) sorted by their bits from `base` on, with
     the longest common prefix of each adjacent pair: (order, lcp, codes).
 
-    A finite key sorts before the keys it is a prefix of.  lcp[i] is the LCP
-    of sorted keys i and i+1, counted from `base`; codes[i] packs bits
-    base .. base+63 of key order[i], MSB first, 0 past a finite key's end.
-    Only runs tied on every word so far read their next 64 bits.  Raises
-    IndistinguishableKeysError when a finite key is a prefix of another, or
-    equal to it.
+    lcp[i] is the LCP of sorted keys i and i+1, counted from `base`; codes[i]
+    packs bits base .. base+63 of key order[i], MSB first, 0 past a finite
+    key's end.  Only runs tied on every word so far read their next 64 bits,
+    up to the longest finite key's end: in a prefix-free set, which the
+    loader guarantees, zero padding neither ties two keys nor lengthens an LCP.
     """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
     codes = _word(keys, ids, base)
-    # finite keys tied on every bit read break ties by the bits they have
-    # left, so that a key sorts before its extensions; random keys run on
-    lengths = None if keys.is_random else keys._lengths[ids] - base
-    if lengths is not None:
-        order = np.lexsort((lengths, codes))
-        lengths = lengths[order]
-    else:
-        order = np.argsort(codes)
-    codes = codes[order]
-    order = ids[order]
+    order = np.argsort(codes)
+    codes, order = codes[order], ids[order]
     lcp = _adjacent_lcp(codes)
+    end = None if keys.is_random else keys._finite_bits.shape[1] - base
     width = 64
     tied = np.flatnonzero(lcp == width)
-    while len(tied) and (lengths is None or width < lengths[tied + 1].max()):
+    while len(tied) and (end is None or width < end):
         # the rows of the tied runs, re-sorted within each run by their next word
         rows = np.union1d(tied, tied + 1)
         follows = np.isin(rows, tied + 1)
         word = _word(keys, order[rows], base + width)
-        runs = (word, np.cumsum(~follows))
-        perm = np.lexsort(runs if lengths is None else (lengths[rows], *runs))
+        perm = np.lexsort((word, np.cumsum(~follows)))
         order[rows] = order[rows][perm]
-        if lengths is not None:
-            lengths[rows] = lengths[rows][perm]
         lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]
         width += 64
         tied = np.flatnonzero(lcp == width)
-    if lengths is not None:
-        nested = np.flatnonzero(lcp >= lengths[:-1])   # a key sorts before its extensions
-        if len(nested):
-            i = int(nested[0])
-            raise IndistinguishableKeysError(
-                f"key {order[i]} is a prefix of key {order[i + 1]}: they share "
-                f"all {base + lengths[i]} bits of key {order[i]}")
     return order, lcp, codes
 
 
@@ -256,18 +234,17 @@ def _capped_fillup(keys: KeySet, ids: np.ndarray | None, base: int, alpha: float
     bits, and a function from one of them to the ids sharing its first F+1
     bits past `base`: its child group in a compressed node at `base`.
 
-    Random keys whose bound fits one word are counted from their codes
-    (_code_counts), read down to _first_read, and down to _fillup_bound only
-    if no level so far falls below alpha, reading then only the bits past the
-    first read.  Finite keys, which are read whole so that any two nested
-    keys among them raise, and random keys whose bound passes 64 bits are
-    counted from _sorted_lcp."""
+    Keys whose bound fits one word are counted from their codes
+    (_code_counts): finite keys read down to _fillup_bound, random keys down
+    to _first_read, and down to the bound only if no level so far falls
+    below alpha, reading then only the bits past the first read.  Keys whose
+    bound passes 64 bits are counted from _sorted_lcp."""
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
     m = len(ids)
     top = _fillup_bound(m, alpha)
-    if keys.is_random and top <= 64:
-        read = _first_read(keys.params.p, alpha, m)
+    if top <= 64:
+        read = _first_read(keys.params.p, alpha, m) if keys.is_random else top
         codes = _codes(keys, ids, base, read)
         fillup = _fillup(_code_counts(codes, read).tolist(), alpha)
         if fillup == read < top:   # no level up to `read` falls below alpha

@@ -289,8 +289,21 @@ def test_build_rejects_nested_prefixes(tmp_path, capsys):
                              "--alpha", "0.5")
     assert code == 1
     assert out == ""
-    assert err == ("error: key 0 is a prefix of key 1: they share all 8 bits "
-                   "of key 0\n")
+    assert err == "error: line 2: key extends the 8-bit key on line 1\n"
+
+
+def test_key_and_query_files_may_start_with_a_bom(tmp_path, capsys):
+    runs = []
+    for bom in ("", "\ufeff"):
+        keys = tmp_path / f"keys{len(bom)}.txt"
+        keys.write_text(bom + "11.0.0.0/8\n10.0.0.0/16\n", encoding="utf-8")
+        queries = tmp_path / f"queries{len(bom)}.txt"
+        queries.write_text(bom + "10.0.0.1/32\n0000101\n", encoding="utf-8")
+        runs.append((run_cli(capsys, "build", "--keys", str(keys), "--alpha", "0.5"),
+                     run_cli(capsys, "query", "--keys", str(keys), "--queries",
+                             str(queries), "--alpha", "0.5")))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == (0, "1,16\n0,7\n", "")
 
 
 @pytest.mark.parametrize("keys_text, message", [

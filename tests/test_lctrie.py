@@ -23,7 +23,13 @@ from alctrie.lctrie import (
 )
 from alctrie.analysis import ModelParams
 from alctrie.montecarlo import ExperimentConfig, simulate_fillup
-from alctrie.source import KeySet, SourceParams, generate_keys, trial_seed
+from alctrie.source import (
+    KeySet,
+    NestedKeyError,
+    SourceParams,
+    generate_keys,
+    trial_seed,
+)
 from alctrie import trie
 from alctrie.trie import (
     DEFAULT_DEPTH_CAP,
@@ -278,10 +284,42 @@ def test_lpm_with_finite_keys_of_mixed_length():
 
 def test_query_bit_validation():
     alc = compress(keys_from("0", "1"), 0.5)
-    with pytest.raises(ValueError):
-        longest_prefix_match(alc, "01x")
-    with pytest.raises(ValueError):
-        longest_prefix_match(alc, (0, 2))
+    for query in ("01x", "012", (0, 2), [1, -1]):
+        with pytest.raises(ValueError):
+            longest_prefix_match(alc, query)
+        with pytest.raises(ValueError):
+            match_length(alc, query, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    p=st.sampled_from([0.3, 0.5, 0.7]),
+    alpha=st.sampled_from([0.3, 0.6, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_lpm_on_mixed_length_finite_keys_matches_linear_scan(n, p, alpha, seed,
+                                                             data):
+    # each key cut past its shortest unique prefix and its slot: a
+    # prefix-free key file that compresses
+    _, _, tuples = finite_from_random(p, seed, n)
+    ends = ref_slot_ends(ref_compress(list(enumerate(tuples)), alpha))
+    lengths = [max(1, d, ends[i]) + data.draw(st.integers(0, 3))
+               for i, d in enumerate(ref_external_depths(tuples))]
+    lines = key_lines(tuples, lengths, cidr=False)
+    ks = KeySet.from_lines(lines)
+    alc = compress(ks, alpha)
+    stride = int(alc.consumed[0]) if alc.height else 0
+    bits = lambda lo, hi: data.draw(st.text("01", min_size=lo, max_size=hi))
+    key = lambda: data.draw(st.sampled_from(lines))
+    queries = ["", bits(0, max(0, stride - 1)), key(), key() + bits(1, 8),
+               bits(max(lengths) + 1, max(lengths) + 8)]
+    for q in queries:
+        want, want_len = ref_lpm(ks, tuple(map(int, q)))
+        got = longest_prefix_match(alc, q)
+        assert got == want
+        assert match_length(alc, q, got) == want_len
 
 
 def test_depth_sample_fields():
@@ -675,29 +713,28 @@ def test_nested_prefixes_are_rejected_naming_both_keys(n, seed, data):
     else:
         nested = victim + "".join(data.draw(st.lists(st.sampled_from("01"),
                                                       min_size=1, max_size=8)))
-    lines.insert(data.draw(st.integers(0, n)), nested)
-    keys = KeySet.from_lines(lines)
-    for route in (tabulate_profile, lambda ks: compress(ks, 0.5),
-                  lambda ks: designated_depth(ks, 0.5, 0)):
-        with pytest.raises(IndistinguishableKeysError) as err:
-            route(keys)
-        a, b, shared = map(int, re.fullmatch(
-            r"key (\d+) is a prefix of key (\d+): they share all (\d+) bits "
-            r"of key \1", str(err.value)).groups())
-        assert lines.index(nested) in (a, b)
-        assert lines[b].startswith(lines[a]) and len(lines[a]) == shared
+    at = data.draw(st.integers(0, n))
+    lines.insert(at, nested)
+    with pytest.raises(NestedKeyError) as err:
+        KeySet.from_lines(lines)
+    b, shared, a = map(int, re.fullmatch(
+        r"line (\d+): key extends the (\d+)-bit key on line (\d+)",
+        str(err.value)).groups())
+    assert isinstance(err.value, IndistinguishableKeysError)
+    assert err.value.line_no == b and at + 1 in (a, b)
+    # the first line in file order to extend another, and the shortest it extends
+    extends = [[m for m in lines if m != line and line.startswith(m)] for line in lines]
+    assert b == 1 + min(i for i, e in enumerate(extends) if e)
+    assert lines[a - 1] == min(extends[b - 1], key=len) and len(lines[a - 1]) == shared
 
 
 def test_deep_nested_pair_off_the_walk_is_rejected():
     # keys 2 and 3 nest 71 bits down, far past the 3 levels that decide the
-    # fillup of 4 keys at alpha = 0.5, and off key 0's path; finite keys are
-    # read whole, so key 0's walk rejects them at the root all the same
-    keys = KeySet.from_lines(["00", "01", "1" + "0" * 70, "1" + "0" * 70 + "1"])
-    for route in (tabulate_profile, lambda ks: compress(ks, 0.5),
-                  lambda ks: designated_depth(ks, 0.5, 0)):
-        with pytest.raises(IndistinguishableKeysError, match=(
-                r"^key 2 is a prefix of key 3: they share all 71 bits of key 2$")):
-            route(keys)
+    # fillup of 4 keys at alpha = 0.5, and off key 0's path; the loader
+    # refuses them before any walk
+    with pytest.raises(NestedKeyError, match=(
+            r"^line 4: key extends the 71-bit key on line 3$")):
+        KeySet.from_lines(["00", "01", "1" + "0" * 70, "1" + "0" * 70 + "1"])
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])

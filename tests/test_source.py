@@ -12,6 +12,7 @@ from alctrie.source import (
     KeyExhaustedError,
     KeyFileError,
     KeySet,
+    NestedKeyError,
     SourceParams,
     generate_keys,
     load_keys,
@@ -124,7 +125,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 # -- key files ----------------------------------------------------------------
 #
 # A reference loader in the form the package first had: each key a tuple of
-# bits, duplicates found on those tuples, the matrix filled row by row.
+# bits, duplicates and nested keys found on those tuples, the matrix filled
+# row by row.
 
 _DIGITS = frozenset("0123456789")
 
@@ -166,6 +168,15 @@ def _ref_load(lines):
             )
         seen[bits] = line_no
         keys.append(bits)
+    for bits, line_no in seen.items():
+        # the shortest other key this one starts with (a CIDR /0 is () and
+        # starts every key)
+        extended = [other for other in seen
+                    if len(other) < len(bits) and bits[:len(other)] == other]
+        if extended:
+            other = min(extended, key=len)
+            raise NestedKeyError(f"key extends the {len(other)}-bit key on line "
+                                 f"{seen[other]}", line_no)
     mat = np.zeros((len(keys), max(map(len, keys), default=0)), dtype=np.uint8)
     for i, bits in enumerate(keys):
         mat[i, :len(bits)] = list(bits)
@@ -287,6 +298,9 @@ def test_finite_key_exhaustion():
     assert ks[0].bit(1) == 1
     with pytest.raises(KeyExhaustedError):
         ks[0].bit(2)
+    # past a key's end but within the zero-padded row of a longer key
+    with pytest.raises(KeyExhaustedError):
+        KeySet.from_lines(["01", "100"])[0].bit(2)
     with pytest.raises(KeyExhaustedError):
         ks.bit_block(np.array([0, 1]), 0, 3)
 

@@ -159,6 +159,21 @@ def test_indistinguishable_keys_error():
         tabulate_profile(keys_from("0", "01"))
 
 
+@pytest.mark.parametrize("lines", [["0" * 100, "0" * 100 + "1"], ["1" * 70] * 2])
+def test_nested_keys_built_around_the_loader_are_refused(lines):
+    # the loader refuses nested and equal keys; a set built without it sorts
+    # in bounded time, and compress and the depth walk refuse it all the same
+    bits = np.zeros((2, max(map(len, lines))), dtype=np.uint8)
+    for row, line in zip(bits, lines):
+        row[:len(line)] = [int(c) for c in line]
+    ks = KeySet(params=None, n=2, finite_bits=bits,
+                lengths=np.array([len(line) for line in lines], dtype=np.int64))
+    assert _sorted_lcp(ks)[1][0] >= len(lines[0])
+    for route in (lambda: compress(ks, 0.5), lambda: designated_depth(ks, 0.5, 1)):
+        with pytest.raises(IndistinguishableKeysError, match="too short to address a slot"):
+            route()
+
+
 def test_short_but_unique_keys_build_fine():
     ks = keys_from("0", "10", "11")
     assert core_external_depths(ks) == [1, 2, 2]
