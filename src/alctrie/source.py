@@ -9,7 +9,9 @@ safe to share across threads and makes parallel simulations reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,6 +42,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 MAX_KEYS = 1 << 32       # key ids and bit indices are packed into one 64-bit word
 MAX_BIT_INDEX = 1 << 32
 _HASH_CHUNK = 1 << 16    # words hashed per band by bit_block, to stay in cache
+
+# a key file line in the usual CIDR spelling, whose numbers are read in bulk
+_PLAIN_CIDR = re.compile(r"[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/[0-9]{1,2}")
+# _HEAD[k]: the first k bits of a 64-bit word
+_HEAD = np.array([_MASK64 ^ (_MASK64 >> k) for k in range(65)], dtype=np.uint64)
 
 
 class KeyFileError(ValueError):
@@ -182,38 +189,99 @@ class KeySet:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<lines>") -> "KeySet":
-        # a key is (length, value) with its bits in value, MSB first: equal
-        # pairs are equal bit strings, whichever format each line used
-        seen: dict[tuple[int, int], int] = {}
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key = _parse_key(line, line_no)
-            first = seen.setdefault(key, line_no)
-            if first != line_no:
-                raise DuplicateKeyError(
-                    f"duplicate key {line!r} (same bits as line {first})", line_no
-                )
-        # the first key, in file order, that extends a shorter key of the file
-        sizes = sorted({length for length, _ in seen})
-        for (length, value), line_no in seen.items() if len(sizes) > 1 else ():
-            for k in sizes[:sizes.index(length)]:   # the shortest first
-                first = seen.get((k, value >> (length - k)))
-                if first is not None:
-                    raise NestedKeyError(
-                        f"key extends the {k}-bit key on line {first}", line_no)
-        n = len(seen)
-        lengths = np.fromiter((length for length, _ in seen), dtype=np.int64,
-                              count=n)
+        """Finite keys from the lines of a key file, line i + 1 being lines[i].
+
+        Every line is stripped, and blank lines and lines starting with '#'
+        are skipped.  Any other line is one key, in either of two forms:
+        - a string of 0/1 characters, the key's bits;
+        - an IPv4 prefix "a.b.c.d/len": four ASCII decimal octets of at most
+          255 and a length of at most 32, leading zeros allowed; the key is
+          the first len bits of the address.
+        Two lines with the same bits are duplicates, whatever their forms.
+
+        Errors carry the line number.  The first malformed line
+        (KeyFileError) or duplicate (DuplicateKeyError) in file order is
+        raised.  Only a file with neither is checked for nesting: then the
+        first key in file order that extends another raises NestedKeyError,
+        naming the shortest key it extends.
+        """
+        texts = list(map(str.strip, lines))
+        # the numbers of every line in the usual CIDR spelling, in one call;
+        # the lines whose numbers are out of range are left to _parse_key
+        plain = np.fromiter(map(bool, map(_PLAIN_CIDR.fullmatch, texts)),
+                            dtype=bool, count=len(texts))
+        nums = np.fromstring(
+            ".".join(itertools.compress(texts, plain)).replace("/", "."),
+            dtype=np.int64, sep=".").reshape(-1, 5)
+        in_range = (nums[:, :4] <= 255).all(axis=1) & (nums[:, 4] <= 32)
+        plain[plain] = in_range
+        nums = nums[in_range]
+        # the other key lines: 0/1 strings through int(), the rest through
+        # _parse_key, up to the first malformed line
+        zero_one, odd, odd_keys, error = [], [], [], None
+        for i in np.flatnonzero(~plain).tolist():
+            line = texts[i]
+            if not line.strip("01"):
+                if line:
+                    zero_one.append(i)
+            elif line[0] != "#":
+                try:
+                    odd_keys.append(_parse_key(line, i + 1))
+                except KeyFileError as exc:
+                    error = exc
+                    break
+                odd.append(i)
+        if error is not None:   # only the keys above the malformed line count
+            end = error.line_no - 1
+            nums = nums[:np.count_nonzero(plain[:end])]
+            plain[end:] = False
+        bit_strings = [texts[i] for i in zero_one]
+        other = zero_one + odd
+        other_keys = [*zip(map(len, bit_strings),
+                           map(int, bit_strings, itertools.repeat(2))), *odd_keys]
+        # the keys in file order: a length and the bits, left-aligned in
+        # 64-bit words and zero padded
+        is_key = plain.copy()
+        is_key[other] = True
+        rows = np.flatnonzero(is_key)
+        at = np.cumsum(is_key) - 1
+        lengths = np.empty(len(rows), dtype=np.int64)
+        lengths[at[plain]] = nums[:, 4]
+        lengths[at[other]] = [length for length, _ in other_keys]
         max_len = int(lengths.max(initial=0))
-        # every key left-aligned in the same whole number of bytes, unpacked at once
-        width = (max_len + 7) // 8
-        packed = b"".join((value << (8 * width - length)).to_bytes(width, "big")
-                          for length, value in seen)
-        rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-        mat = np.unpackbits(rows, axis=1, count=max_len)
-        return cls(params=None, n=n, finite_bits=mat, lengths=lengths,
+        width = max(1, -(-max_len // 64))
+        words = np.zeros((len(rows), width), dtype=np.uint64)
+        host = 32 - nums[:, 4]
+        addr = nums[:, :4] @ np.array([1 << 24, 1 << 16, 1 << 8, 1])
+        words[at[plain], 0] = ((addr >> host) << host).astype(np.uint64) << _U64(32)
+        words[at[other]] = np.frombuffer(b"".join(
+            (value << (64 * width - length)).to_bytes(8 * width, "big")
+            for length, value in other_keys), dtype=">u8").reshape(-1, width)
+        # sorted by bits, then length, equal keys lie together in file order,
+        # and a key that another key extends is followed by one that does
+        order = np.lexsort((lengths, *words.T[::-1]))
+        a, b = order[:-1], order[1:]
+        starts = np.ones(len(a), dtype=bool)   # key b starts with key a
+        for j in range(width):
+            head = _HEAD[np.clip(lengths[a] - 64 * j, 0, 64)]
+            starts &= (words[b, j] & head) == words[a, j]
+        same = starts & (lengths[a] == lengths[b])
+        if same.any():
+            i = int(b[same].min())
+            first = np.flatnonzero((lengths == lengths[i])
+                                   & (words == words[i]).all(axis=1))[0]
+            raise DuplicateKeyError(
+                f"duplicate key {texts[rows[i]]!r} (same bits as line "
+                f"{rows[first] + 1})", int(rows[i]) + 1)
+        if error is not None:
+            raise error
+        if starts.any():
+            raise _nested_key_error(lengths, words, rows)
+        # big-endian words, whose bytes run in bit order; the native ones are
+        # dropped before the matrix is allocated
+        words = words.astype(">u8")
+        bits = np.unpackbits(words.view(np.uint8), axis=1, count=max_len)
+        return cls(params=None, n=len(rows), finite_bits=bits, lengths=lengths,
                    origin=origin)
 
     @classmethod
@@ -363,6 +431,25 @@ def _parse_key(line: str, line_no: int) -> tuple[int, int]:
     if line.strip("01"):
         raise KeyFileError(f"expected 0/1 characters or CIDR, got {line!r}", line_no)
     return len(line), int(line, 2) if line else 0
+
+
+def _nested_key_error(lengths: np.ndarray, words: np.ndarray,
+                      rows: np.ndarray) -> NestedKeyError:
+    """The error for the first key in file order that extends another key,
+    naming the shortest key it extends."""
+    width = words.shape[1]
+    packed = words.astype(">u8")
+    seen = {(length, int.from_bytes(packed[i].tobytes(), "big")
+             >> (64 * width - length)): int(rows[i]) + 1
+            for i, length in enumerate(lengths.tolist())}
+    sizes = sorted({length for length, _ in seen})
+    for (length, value), line_no in seen.items():
+        for k in sizes[:sizes.index(length)]:   # the shortest first
+            first = seen.get((k, value >> (length - k)))
+            if first is not None:
+                return NestedKeyError(
+                    f"key extends the {k}-bit key on line {first}", line_no)
+    raise AssertionError("no key extends another")
 
 
 # the shortest spelling of every octet value: a dict lookup costs about a

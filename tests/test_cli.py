@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alctrie
 from alctrie import montecarlo
 from alctrie.analysis import prob_poisson_ge2
 from alctrie.cli import build_parser, main
@@ -361,6 +366,18 @@ def test_build_refuses_a_node_too_wide(tmp_path, capsys, shared, alpha):
     assert (code, out) == (1, "")
     assert err == (f"error: node at level 0 would consume {shared} levels: "
                    f"2**{shared} slots, more than 2**32\n")
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only --jobs > 1 starts worker processes; the pool's module stays unloaded
+    # until then, as it costs about 20 ms of every start
+    path = [str(Path(alctrie.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, alctrie.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_help_documents_every_flag():

@@ -252,6 +252,104 @@ def test_loader_matches_reference_tuple_loader(lines):
     assert len(ks) == len(lengths)
 
 
+def _large_key_file(rng, n):
+    """n key lines in every spelling the loader takes, with blank lines and
+    comments among them.  No key extends another: 16 keys are /8s in the
+    first octets 0-15, and every other key starts with its own 20 bits past
+    those, the 0/1 ones running to one, two and three 64-bit words."""
+    lines = [f"{o:03d}.0.0.0/{rng.choice(['8', '08', '008'])}" for o in range(16)]
+    for head in rng.sample(range(16 << 12, 1 << 20), n - 16):
+        kind = rng.random()
+        if kind < 0.85:
+            addr = head << 12 | rng.getrandbits(12)
+            numbers = [str(addr >> s & 255) for s in (24, 16, 8, 0)]
+            numbers.append(str(rng.randint(20, 32)))
+            if kind < 0.1:   # leading zeros the bulk read takes: 010.001.2.3/24
+                numbers[:4] = [x.zfill(3) for x in numbers[:4]]
+            elif kind < 0.2:   # and spellings it leaves to _parse_key: 0010, /024
+                numbers = [rng.choice(["0", "00"]) + x for x in numbers]
+            lines.append(".".join(numbers[:4]) + "/" + numbers[4])
+        else:
+            tail = rng.randint(0, 170)
+            bits = format(rng.getrandbits(tail), f"0{tail}b")[:tail]
+            lines.append(format(head, "020b") + bits)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "\t", "# 10.0.0.0/8", "#0101"]))
+    rng.shuffle(lines)
+    return lines
+
+
+def _write_key_file(rng, path, lines):
+    """The lines padded with spaces and tabs, ended by LF or CRLF, after a
+    byte order mark."""
+    text = "".join(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " "])
+                   + rng.choice(["\n", "\r\n"]) for line in lines)
+    path.write_text(text, encoding="utf-8-sig", newline="")
+
+
+def test_large_mixed_key_file_matches_a_per_line_build(tmp_path):
+    rng = random.Random(16)
+    lines = _large_key_file(rng, 20_000)
+    path = tmp_path / "keys.txt"
+    _write_key_file(rng, path, lines)
+    ks = load_keys(path)
+    keys = [alctrie.source._parse_key(line, no) for no, line in enumerate(lines, 1)
+            if line.strip() and not line.startswith("#")]
+    assert len(keys) == 20_000
+    lengths = np.array([length for length, _ in keys], dtype=np.int64)
+    assert lengths.max() > 128 and lengths.min() == 8
+    mat = np.zeros((len(keys), lengths.max()), dtype=np.uint8)
+    for i, (length, value) in enumerate(keys):
+        mat[i, :length] = [int(c) for c in format(value, f"0{length}b")]
+    assert np.array_equal(ks._lengths, lengths)
+    assert ks._finite_bits.dtype == np.uint8 and np.array_equal(ks._finite_bits, mat)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("10.20.30.256/24", "IPv4 octet 256 exceeds 255"),   # read in bulk
+    ("10.20.30.40/0x8", "bad prefix length '0x8'"),      # read line by line
+])
+@pytest.mark.parametrize("bad_at, dup_at", [(15_000, 17_000), (17_000, 12_000)])
+def test_first_error_of_a_large_key_file_is_raised(tmp_path, bad_at, dup_at, bad,
+                                                   message):
+    rng = random.Random(17)
+    lines = _large_key_file(rng, 20_000)
+    # a 0/1 spelling of an earlier CIDR key
+    first = next(i for i in range(dup_at // 2, dup_at)
+                 if "/" in lines[i] and not lines[i].startswith("#"))
+    length, value = alctrie.source._parse_key(lines[first], first + 1)
+    dup = format(value, f"0{length}b")
+    lines[dup_at], lines[bad_at] = dup, bad
+    path = tmp_path / "keys.txt"
+    _write_key_file(rng, path, lines)
+    with pytest.raises(KeyFileError) as err:
+        load_keys(path)
+    if bad_at < dup_at:
+        assert type(err.value) is KeyFileError
+        assert str(err.value) == f"line {bad_at + 1}: {message}"
+    else:
+        assert type(err.value) is DuplicateKeyError
+        assert str(err.value) == (f"line {dup_at + 1}: duplicate key {dup!r} "
+                                  f"(same bits as line {first + 1})")
+
+
+def test_first_nested_key_of_a_large_key_file_is_raised(tmp_path):
+    rng = random.Random(18)
+    lines = _large_key_file(rng, 20_000)
+    keys = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+    # two keys extending others, the first in file order above the key it extends
+    for at, base in ((keys[5_000], keys[19_000]), (keys[8_000], keys[100])):
+        length, value = alctrie.source._parse_key(lines[base], base + 1)
+        lines[at] = format(value, f"0{length}b") + "01"
+    path = tmp_path / "keys.txt"
+    _write_key_file(rng, path, lines)
+    with pytest.raises(NestedKeyError) as err:
+        load_keys(path)
+    length, _ = alctrie.source._parse_key(lines[keys[19_000]], 0)
+    assert str(err.value) == (f"line {keys[5_000] + 1}: key extends the "
+                              f"{length}-bit key on line {keys[19_000] + 1}")
+
+
 def test_empty_key_file(tmp_path):
     path = tmp_path / "keys.txt"
     path.write_text("# only a comment\n\n")
