@@ -203,7 +203,9 @@ class KeySet:
         (KeyFileError) or duplicate (DuplicateKeyError) in file order is
         raised.  Only a file with neither is checked for nesting: then the
         first key in file order that extends another raises NestedKeyError,
-        naming the shortest key it extends.
+        naming the shortest key it extends.  All lines are read before any
+        is checked, so reading a file that is not valid UTF-8 raises
+        UnicodeDecodeError even when a malformed line comes first.
         """
         texts = list(map(str.strip, lines))
         # the numbers of every line in the usual CIDR spelling, in one call;
@@ -216,29 +218,21 @@ class KeySet:
         in_range = (nums[:, :4] <= 255).all(axis=1) & (nums[:, 4] <= 32)
         plain[plain] = in_range
         nums = nums[in_range]
-        # the other key lines: 0/1 strings through int(), the rest through
-        # _parse_key, up to the first malformed line
-        zero_one, odd, odd_keys, error = [], [], [], None
+        # every other key line through _parse_key, up to the first malformed one
+        other, other_keys, error = [], [], None
         for i in np.flatnonzero(~plain).tolist():
             line = texts[i]
-            if not line.strip("01"):
-                if line:
-                    zero_one.append(i)
-            elif line[0] != "#":
+            if line and line[0] != "#":
                 try:
-                    odd_keys.append(_parse_key(line, i + 1))
+                    other_keys.append(_parse_key(line, i + 1))
                 except KeyFileError as exc:
                     error = exc
                     break
-                odd.append(i)
+                other.append(i)
         if error is not None:   # only the keys above the malformed line count
             end = error.line_no - 1
             nums = nums[:np.count_nonzero(plain[:end])]
             plain[end:] = False
-        bit_strings = [texts[i] for i in zero_one]
-        other = zero_one + odd
-        other_keys = [*zip(map(len, bit_strings),
-                           map(int, bit_strings, itertools.repeat(2))), *odd_keys]
         # the keys in file order: a length and the bits, left-aligned in
         # 64-bit words and zero padded
         is_key = plain.copy()
@@ -397,6 +391,7 @@ def load_keys(path) -> KeySet:
     Lines starting with '#' and blank lines are skipped, as is a leading
     UTF-8 byte order mark.  Malformed lines, duplicate keys and keys that
     extend another key raise errors carrying the offending line number.
+    The whole file must decode as UTF-8 before any line error is reported.
     """
     return KeySet.from_file(path)
 

@@ -21,6 +21,10 @@ from alctrie.source import (
     prefix_probability,
 )
 
+# the key file loader parses in bulk with numpy and re: a deprecation there
+# fails these tests instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -348,6 +352,15 @@ def test_first_nested_key_of_a_large_key_file_is_raised(tmp_path):
     length, _ = alctrie.source._parse_key(lines[keys[19_000]], 0)
     assert str(err.value) == (f"line {keys[5_000] + 1}: key extends the "
                               f"{length}-bit key on line {keys[19_000] + 1}")
+
+
+def test_key_file_decodes_whole_before_line_errors(tmp_path):
+    # the malformed line 2 is read long before the undecodable byte, yet the
+    # whole file is decoded before any line is checked
+    path = tmp_path / "keys.txt"
+    path.write_bytes(b"01\nhello\n" + b"1100\n" * 10_000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_keys(path)
 
 
 def test_empty_key_file(tmp_path):
