@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ModelParams",
     "SourceConstants",
@@ -114,28 +116,46 @@ def prob_poisson_ge2(mu: float) -> float:
 def prob_binomial_ge2(n: int, q: float) -> float:
     """P(Binomial(n, q) >= 2) = 1 - (1-q)^n - n q (1-q)^(n-1).
 
-    Uses a short series when n*q is tiny, where the direct form cancels.
+    Uses the short series of _binomial_ge2_series when n*q is tiny, where the
+    direct form cancels.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
+    if _takes_series(n, q):
+        return _binomial_ge2_series(n, [q])[0]
     if n < 2 or q == 0.0:
         return 0.0
     if q == 1.0:
         return 1.0
-    if n * q < 1e-3:
-        log1mq = math.log1p(-q)
-        logq = math.log(q)
-        terms = []
-        for i in range(2, min(n, 8) + 1):
-            log_c = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-            terms.append(math.exp(log_c + i * logq + (n - i) * log1mq))
-        return math.fsum(terms)
     log1mq = math.log1p(-q)
     none_hit = math.exp(n * log1mq)
     one_hit = math.exp(math.log(n) + math.log(q) + (n - 1) * log1mq)
     return 1.0 - none_hit - one_hit
+
+
+def _takes_series(n: int, q: float) -> bool:
+    """Whether prob_binomial_ge2(n, q) takes the short series: n q < 1e-3."""
+    return n >= 2 and 0.0 < q < 1.0 and n * q < 1e-3
+
+
+def _binomial_ge2_series(n: int, qs: list[float]) -> list[float]:
+    """P(Binomial(n, q) >= 2) for each q in qs, where 0 < n q < 1e-3: the sum
+    of C(n, i) q^i (1-q)^(n-i) over i = 2..min(n, 8), formed in log space.
+
+    The exponents of all the cells are one array, made by numpy's exactly
+    rounded + and * in the order the scalar expression uses (no fused
+    multiply-add); math.exp and math.fsum, exact in any order, finish each.
+    """
+    terms = range(2, min(n, 8) + 1)
+    log_c = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                      for i in terms])
+    rest = np.array([float(n - i) for i in terms])   # n - i overflows int64 past 2^63
+    logq = np.array([math.log(q) for q in qs])[:, None]
+    log1mq = np.array([math.log1p(-q) for q in qs])[:, None]
+    args = log_c + np.array(terms, dtype=np.float64) * logq + rest * log1mq
+    return [math.fsum(map(math.exp, row)) for row in args.tolist()]
 
 
 def prefix_poisson_mean(lam: float, k: int, j: int, p: float) -> float:
@@ -151,26 +171,29 @@ def expected_fill_fraction(params: ModelParams, k: int) -> float:
 
     Poisson model: 2^-k * sum_j C(k,j) P(Poisson(lam p^j q^(k-j)) >= 2).
     Fixed-n model: the same sum with P(Binomial(n, p^j q^(k-j)) >= 2).
+
+    lgamma(j+1) is tabulated once per call for every weight C(k,j), and the
+    cells that take the short binomial series go through it together.  Each
+    term is the float prob_binomial_ge2 would give, and math.fsum is exact.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     logp = math.log(params.p)
     logq = math.log(params.q)
-    lgk = math.lgamma(k + 1)
-    terms = []
+    lg = list(map(math.lgamma, range(1, k + 2)))   # lg[j] = lgamma(j + 1)
+    weights = [math.exp(lg[k] - lg[j] - lg[k - j] - k * _LN2) for j in range(k + 1)]
     if params.is_poisson:
         loglam = math.log(params.lam)
-        for j in range(k + 1):
-            logw = lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) - k * _LN2
-            mu = math.exp(loglam + j * logp + (k - j) * logq)
-            terms.append(math.exp(logw) * prob_poisson_ge2(mu))
+        probs = [prob_poisson_ge2(math.exp(loglam + j * logp + (k - j) * logq))
+                 for j in range(k + 1)]
     else:
         n = params.n
-        for j in range(k + 1):
-            logw = lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) - k * _LN2
-            cell = math.exp(j * logp + (k - j) * logq)
-            terms.append(math.exp(logw) * prob_binomial_ge2(n, cell))
-    return math.fsum(terms)
+        cells = [math.exp(j * logp + (k - j) * logq) for j in range(k + 1)]
+        small = [j for j, c in enumerate(cells) if _takes_series(n, c)]
+        series = dict(zip(small, _binomial_ge2_series(n, [cells[j] for j in small])))
+        probs = [series[j] if j in series else prob_binomial_ge2(n, c)
+                 for j, c in enumerate(cells)]
+    return math.fsum(w * prob for w, prob in zip(weights, probs))
 
 
 def threshold_ones_count(k: int, lam: float, p: float) -> float:

@@ -310,12 +310,17 @@ class KeySet:
     def bit_block(self, ids: np.ndarray, start: int, width: int) -> np.ndarray:
         """Bits [start, start+width) of the given keys as a (len(ids), width)
         uint8 array.  Raises KeyExhaustedError if any finite key is too short,
-        and ValueError if start or width is negative.
+        ValueError if start or width is negative, and IndexError if an id
+        lies outside [0, n).
         """
         if start < 0 or width < 0:
             raise ValueError(
                 f"bit block start and width must be non-negative, got {start} and {width}")
         ids = np.asarray(ids, dtype=np.int64)
+        # one max over the ids as unsigned: a negative id reads as >= 2^63
+        if len(ids) and ids.view(np.uint64).max() >= self._n:
+            bad = ids[(ids < 0) | (ids >= self._n)][0]
+            raise IndexError(f"key id {bad} out of range (n={self._n})")
         if width == 0:
             return np.zeros((len(ids), 0), dtype=np.uint8)
         if self._lengths is not None:

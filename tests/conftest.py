@@ -3,11 +3,14 @@ the library's own code paths, plus the acceptance summary hook."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from alctrie.analysis import ModelParams, prob_poisson_ge2
 from alctrie.source import KeySet, SourceParams, generate_keys
 
 ACCEPTANCE_LINES: list[str] = []
@@ -93,6 +96,51 @@ def ref_fillup_level(suffixes: list[tuple], alpha: float) -> int:
             return level
         level = k
         k += 1
+
+
+@lru_cache(maxsize=None)
+def _ref_log_binom(n: int, i: int) -> float:
+    """log C(n, i) from three lgamma calls, kept across calls only to make
+    the grids that read it cheaper."""
+    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+
+
+def ref_prob_binomial_ge2(n: int, q: float) -> float:
+    """P(Binomial(n, q) >= 2), one cell at a time: the short series term by
+    term where n q < 1e-3, the direct form elsewhere."""
+    if n < 2 or q == 0.0:
+        return 0.0
+    if q == 1.0:
+        return 1.0
+    log1mq = math.log1p(-q)
+    if n * q < 1e-3:
+        logq = math.log(q)
+        terms = []
+        for i in range(2, min(n, 8) + 1):
+            terms.append(math.exp(_ref_log_binom(n, i) + i * logq + (n - i) * log1mq))
+        return math.fsum(terms)
+    none_hit = math.exp(n * log1mq)
+    one_hit = math.exp(math.log(n) + math.log(q) + (n - 1) * log1mq)
+    return 1.0 - none_hit - one_hit
+
+
+def ref_expected_fill_fraction(params: ModelParams, k: int) -> float:
+    """Expected fill fraction at level k, term by term: each weight C(k,j)
+    2^-k from its own three lgamma calls, each cell's tail probability from
+    its own call.  The library must give the same float."""
+    logp = math.log(params.p)
+    logq = math.log(params.q)
+    lgk = math.lgamma(k + 1)
+    terms = []
+    for j in range(k + 1):
+        logw = lgk - math.lgamma(j + 1) - math.lgamma(k - j + 1) - k * math.log(2.0)
+        if params.is_poisson:
+            mu = math.exp(math.log(params.lam) + j * logp + (k - j) * logq)
+            terms.append(math.exp(logw) * prob_poisson_ge2(mu))
+        else:
+            cell = math.exp(j * logp + (k - j) * logq)
+            terms.append(math.exp(logw) * ref_prob_binomial_ge2(params.n, cell))
+    return math.fsum(terms)
 
 
 class RefNode:

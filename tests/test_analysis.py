@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from alctrie.analysis import (
     ModelParams,
@@ -21,6 +22,13 @@ from alctrie.analysis import (
     source_constants,
     threshold_ones_count,
 )
+
+from conftest import ref_expected_fill_fraction, ref_prob_binomial_ge2
+
+# the expectations evaluate their exponents as numpy arrays: an overflow,
+# underflow or invalid value there fails these tests instead of printing a
+# warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 P_GRID = [0.1, 0.3, 0.42, 0.6, 0.7, 0.9]
 
@@ -141,6 +149,43 @@ def test_expected_fill_fraction_p_q_symmetry(p):
         ap = expected_fill_fraction(ModelParams(p=p, alpha=0.5, lam=777.0), k)
         bp = expected_fill_fraction(ModelParams(p=1 - p, alpha=0.5, lam=777.0), k)
         assert abs(ap - bp) <= 1e-12
+
+
+# the expectations must equal the term-by-term reference exactly, not merely
+# closely: every figure built on them is pinned to the bit
+EXACT_N = [0, 1, 2, 3, 8, 9, 100, 4096, 65536, 10**6, 2**40, 2**53 + 1, 2**63, 2**70]
+EXACT_LAM = [0.5, 3.0, 1024.0, 65536.0, 1e9]
+EXACT_K = [*range(80), 200, 1000]
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_expected_fill_fraction_equals_term_by_term_reference(p):
+    models = ([ModelParams(p=p, alpha=0.5, n=n) for n in EXACT_N]
+              + [ModelParams(p=p, alpha=0.5, lam=lam) for lam in EXACT_LAM])
+    wrong = [(params.size, k) for params in models for k in EXACT_K
+             if expected_fill_fraction(params, k) != ref_expected_fill_fraction(params, k)]
+    assert wrong == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_expected_fill_fraction_exact_where_cells_straddle_the_series_switch(data):
+    n = data.draw(st.integers(min_value=10**4, max_value=2**50))
+    p = data.draw(st.floats(min_value=0.05, max_value=0.95))
+    assume(abs(p - 0.5) > 0.02)
+    # k with n lo^k < 1e-3 <= n hi^k: the level's smallest cell takes the
+    # short series and its largest the direct form
+    lo, hi = sorted((p, 1.0 - p))
+    target = math.log(1e-3 / n)
+    low_k, high_k = math.floor(target / math.log(lo)) + 1, math.floor(target / math.log(hi))
+    assume(low_k <= high_k)
+    k = data.draw(st.integers(min_value=low_k, max_value=high_k))
+    cells = [math.exp(j * math.log(p) + (k - j) * math.log(1.0 - p)) for j in range(k + 1)]
+    assume(n * min(cells) < 1e-3 <= n * max(cells))
+    assert ([prob_binomial_ge2(n, c) for c in cells]
+            == [ref_prob_binomial_ge2(n, c) for c in cells])
+    params = ModelParams(p=p, alpha=0.5, n=n)
+    assert expected_fill_fraction(params, k) == ref_expected_fill_fraction(params, k)
 
 
 def test_threshold_ones_count_edges():

@@ -413,6 +413,9 @@ PINNED_RUNS = {
     "expect": ["expect", "--n", "4096", "--p", "0.7", "--k", "0..14",
                "--alpha", "0.3"],
     "expect-poisson": ["expect", "--lambda", "1024", "--p", "0.5", "--k", "3..6"],
+    # the levels the monte_carlo benchmark's set-up computes, most of whose
+    # cells take the short binomial series
+    "expect-deep": ["expect", "--n", "65536", "--p", "0.7", "--k", "0..52"],
     "sim-fillup": ["sim-fillup", "--n", "4096", "--p", "0.7", "--alpha", "0.5",
                    "--trials", "5", "--seed", "11", "--jobs", "1"],
     "sim-fillup-alpha1": ["sim-fillup", "--n", "4096", "--p", "0.7",
@@ -443,6 +446,7 @@ OUTPUT_DIGESTS = {
     ("expect", "json"): "108999be589b253a",
     ("expect-poisson", "csv"): "350eb8bdd202c198",
     ("expect-poisson", "json"): "3c0f00e2746cdff2",
+    ("expect-deep", "csv"): "c8844ed1df07004a",
     ("sim-fillup", "csv"): "04530721dcf42d38",
     ("sim-fillup", "json"): "48c2c2307eaa9b6d",
     ("sim-fillup-alpha1", "csv"): "1f8c3cecc37dba85",

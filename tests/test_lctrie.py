@@ -794,6 +794,13 @@ def test_first_fault_depth_first_is_raised(lines, alpha, depth_cap, error,
 # digests of the structures built by the earlier, node-at-a-time compress
 SKEWED_DIGEST = "53ec89ce7310599a68cfbb90a3ecaaf583b4db8c710c25834759cd79bbed6d53"
 CIDR_DIGEST = "5354f3fdbd00059c967c5dd6484bb0b3b0fa25d76dde06adb347e6040a8e0408"
+# digests of the flat arrays for inputs whose slots are read far past bit 64:
+# skewed sources whose keys share long prefixes, and a unary chain
+DEEP_SKEWED_DIGESTS = {
+    (0.97, 16_384): "aa0219cbe29ccc9fd9a1bf3189113124aaa81bede1ae6d258f7ed5a2af327d61",
+    (0.99, 1_024): "f4f49bf7c2565b91aaa70be360f107e4288acd902bf140d0e7012da547334eb0",
+}
+CHAIN_DIGEST = "b402359a73a86b50afd795700bb0b97c2e9256bd6b2585df81b6662775946b85"
 
 
 def preorder_digest(root) -> str:
@@ -809,6 +816,16 @@ def preorder_digest(root) -> str:
         else:
             tokens.append("-" if cur is None else str(cur))
     return hashlib.sha256(" ".join(tokens).encode()).hexdigest()
+
+
+def arrays_digest(alc) -> str:
+    """SHA-256 of the trie's flat arrays as little-endian int64, each after
+    its name and length."""
+    h = hashlib.sha256()
+    for name in ("order", "consumed", "first", "lo", "hi", "slots"):
+        a = np.ascontiguousarray(getattr(alc, name), dtype="<i8")
+        h.update(f"{name} {len(a)}:".encode() + a.tobytes())
+    return h.hexdigest()
 
 
 def cidr_table(seed: int, n: int) -> KeySet:
@@ -832,3 +849,18 @@ def test_structures_at_scale_match_pinned_digests():
     assert structure_stats(alc) == StructureStats(
         node_count=8_906, empty_slot_fraction=0.3687210622870621,
         consumed_histogram={1: 3368, 2: 5407, 3: 130, 14: 1}, max_depth=6)
+
+
+@pytest.mark.parametrize("p, n", sorted(DEEP_SKEWED_DIGESTS))
+def test_deep_skewed_structures_match_pinned_arrays(p, n):
+    alc = compress(generate_keys(SourceParams(p, 2024), n), 0.5)
+    assert arrays_digest(alc) == DEEP_SKEWED_DIGESTS[p, n]
+
+
+def test_unary_chain_matches_pinned_arrays():
+    # two keys sharing 2,500 bits: 1,250 two-level nodes down the run, and
+    # one one-level node where the keys part
+    alc = compress(KeySet.from_lines(["0" * 2500 + "0", "0" * 2500 + "1"]), 0.5)
+    assert alc.height == 1251
+    assert alc.consumed.tolist() == [2] * 1250 + [1]
+    assert arrays_digest(alc) == CHAIN_DIGEST

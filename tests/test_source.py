@@ -633,6 +633,23 @@ def test_negative_bit_index_or_width_rejected(keys):
     assert keys[0].prefix(0) == ()
 
 
+@pytest.mark.parametrize("keys", [
+    KeySet.from_lines(["0101", "1100", "0110"]),
+    generate_keys(SourceParams(0.5, 1), 3),
+], ids=["finite", "random"])
+def test_key_ids_outside_the_set_rejected(keys):
+    # unchecked, an id past n would hash bits of a key not in a random set,
+    # and id -1 would read key n-1's row of a finite one
+    for ids, bad in (([9], 9), ([-1], -1), ([0, 7, 1], 7), ([2, 3], 3),
+                     ([1, -2, 5], -2)):
+        with pytest.raises(IndexError, match=fr"^key id {bad} out of range \(n=3\)$"):
+            keys.bit_block(np.array(ids), 0, 2)
+    with pytest.raises(IndexError):
+        keys.bit_block(np.array([3]), 0, 0)
+    assert keys.bit_block(np.array([0, 2]), 0, 2).shape == (2, 2)
+    assert keys.bit_block(np.array([], dtype=np.int64), 0, 2).shape == (0, 2)
+
+
 def test_out_of_range_bit_index_rejected():
     ks = generate_keys(SourceParams(0.5, 1), 2)
     with pytest.raises(ValueError):
