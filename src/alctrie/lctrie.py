@@ -22,7 +22,6 @@ from .trie import (
     _fillup_bound,
     _level_counts,
     _sorted_lcp,
-    _word,
 )
 
 __all__ = [
@@ -181,7 +180,7 @@ def compress(keys: KeySet, alpha: float,
         deep = (base + width > 64).nonzero()[0]
         for b in set(base[deep].tolist()):
             i = deep[base[deep] == b]
-            slot[i] = _word(keys, order[at[i]], b, int(width[i].max()))
+            slot[i] = keys.word(order[at[i]], b, int(width[i].max()))
         slot >>= (64 - width).astype(np.uint64)
         group = size > 1
         count += len(consumed)
@@ -212,7 +211,7 @@ def depth(alc: AlcTrie, key_id: int) -> DepthSample:
     cell = 0   # a one-key set's root is its key
     while node is not None:
         consumed = alc.consumed.item(node)
-        slot = int(_word(alc.keyset, ids, level, consumed)[0]) >> (64 - consumed)
+        slot = int(alc.keyset.word(ids, level, consumed)[0]) >> (64 - consumed)
         cell = alc.slots.item(alc.first.item(node) + slot)
         node = ~cell if cell < -1 else None
         level += consumed

@@ -42,11 +42,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 MAX_KEYS = 1 << 32       # key ids and bit indices are packed into one 64-bit word
 MAX_BIT_INDEX = 1 << 32
 _HASH_CHUNK = 1 << 16    # words hashed per band by bit_block, to stay in cache
+_PACK_ROWS = 1 << 13     # rows padded to whole bytes at a time by KeySet.word
 
 # a key file line in the usual CIDR spelling, whose numbers are read in bulk
 _PLAIN_CIDR = re.compile(r"[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/[0-9]{1,2}")
 # _HEAD[k]: the first k bits of a 64-bit word
 _HEAD = np.array([_MASK64 ^ (_MASK64 >> k) for k in range(65)], dtype=np.uint64)
+# _SHIFT[i & 63]: bit i's shift to the foot of its word, an int for a numpy i too
+_SHIFT = list(range(63, -1, -1))
 
 
 class KeyFileError(ValueError):
@@ -129,12 +132,13 @@ class Key:
         return self.keyset.key_length(self.id)
 
     def bit(self, i: int) -> int:
+        """Bit i: a hash of (seed, id, i), or bit i % 64 of a finite key's word i // 64."""
         keyset = self.keyset
         if keyset._lengths is None:
             if 0 <= i < MAX_BIT_INDEX:
                 return keyset._random_bit(int(self.id), int(i))
         elif 0 <= i < keyset._lengths[self.id]:
-            return int(keyset._finite_bits[self.id, i])
+            return keyset._words.item(self.id, i >> 6) >> _SHIFT[i & 63] & 1
         return int(keyset.bit_block(np.array([self.id], dtype=np.int64), i, 1)[0, 0])
 
     def prefix(self, k: int) -> tuple[int, ...]:
@@ -153,19 +157,20 @@ class Key:
 class KeySet:
     """Ordered collection of keys, either seeded-random or loaded from a file.
 
-    Random sets are unbounded in depth; finite sets carry explicit lengths.
+    Random sets are unbounded in depth; finite sets carry explicit lengths
+    and their bits, MSB first in zero-padded 64-bit words, one row per key.
     Instances are immutable and safe for concurrent reads: random bits are
     recomputed from (seed, key id, bit index) rather than cached, so there is
     no mutable state to race on.
     """
 
     def __init__(self, *, params: SourceParams | None, n: int,
-                 finite_bits: np.ndarray | None = None,
+                 words: np.ndarray | None = None,
                  lengths: np.ndarray | None = None,
                  origin: str = "random"):
         self.params = params
         self._n = n
-        self._finite_bits = finite_bits    # (n, max_len) uint8, zero padded
+        self._words = words                # (n, ceil(max_len / 64)) uint64, or None
         self._lengths = lengths            # (n,) int64, or None for random sets
         self.origin = origin
         if params is not None:
@@ -242,8 +247,7 @@ class KeySet:
         lengths = np.empty(len(rows), dtype=np.int64)
         lengths[at[plain]] = nums[:, 4]
         lengths[at[other]] = [length for length, _ in other_keys]
-        max_len = int(lengths.max(initial=0))
-        width = max(1, -(-max_len // 64))
+        width = max(1, -(-int(lengths.max(initial=0)) // 64))
         words = np.zeros((len(rows), width), dtype=np.uint64)
         host = 32 - nums[:, 4]
         addr = nums[:, :4] @ np.array([1 << 24, 1 << 16, 1 << 8, 1])
@@ -271,11 +275,7 @@ class KeySet:
             raise error
         if starts.any():
             raise _nested_key_error(lengths, words, rows)
-        # big-endian words, whose bytes run in bit order; the native ones are
-        # dropped before the matrix is allocated
-        words = words.astype(">u8")
-        bits = np.unpackbits(words.view(np.uint8), axis=1, count=max_len)
-        return cls(params=None, n=len(rows), finite_bits=bits, lengths=lengths,
+        return cls(params=None, n=len(rows), words=words, lengths=lengths,
                    origin=origin)
 
     @classmethod
@@ -301,9 +301,9 @@ class KeySet:
         return self._lengths is None
 
     def key_length(self, key_id: int) -> int | None:
-        if self._lengths is None:
-            return None
-        return int(self._lengths[key_id])
+        if not (0 <= key_id < self._n):
+            raise IndexError(f"key id {key_id} out of range (n={self._n})")
+        return None if self._lengths is None else self._lengths.item(key_id)
 
     # -- bit access ----------------------------------------------------------
 
@@ -329,7 +329,9 @@ class KeySet:
             if len(short) > 0:
                 kid = int(ids[short[0]])
                 raise KeyExhaustedError(kid, end - 1, int(self._lengths[kid]))
-            return self._finite_bits[ids, start:end]
+            # unpack the words covering [start, end), as big-endian bytes in bit order
+            block = self._words[ids, start // 64:-(-end // 64)].astype(">u8")
+            return np.unpackbits(block.view(np.uint8), axis=1)[:, start % 64:][:, :width]
         if start + width > MAX_BIT_INDEX:
             raise ValueError("bit index out of supported range")
         # the two rounds of _fmix64_scalar, fused into 12 passes per bit by
@@ -370,6 +372,32 @@ class KeySet:
             hb ^= tail
             np.less(hb, cut, out=out[a:a + step])
         return out.view(np.uint8)
+
+    def word(self, ids: np.ndarray, start: int, width: int = 64) -> np.ndarray:
+        """Bits start .. start+width-1 (width <= 64) of each key as a uint64, MSB
+        first and zero below; a finite key reads 0 past its end."""
+        if self._words is not None:
+            j, s = divmod(start, 64)
+            cols = self._words[ids, j:j + 2]   # none past the last column
+            out = cols[:, 0] << _U64(s) if cols.shape[1] else np.zeros(len(ids), _U64)
+            if cols.shape[1] == 2:   # numpy shifts a uint64 by 64 to 0
+                out |= cols[:, 1] >> _U64(64 - s)
+            return out & _HEAD[width]
+        block = self.bit_block(ids, start, width)
+        # rows padded to 1, 2, 4 or 8 whole bytes pack in one call into big-endian
+        # words, several times faster than packing short rows one by one; a band
+        # of rows at a time keeps the padded copy small
+        cols = block.shape[1]
+        size = 1 << max(0, (cols - 1) // 8).bit_length()
+        codes = np.empty(len(ids), dtype=np.uint64)
+        rows = np.zeros((min(len(ids), _PACK_ROWS), 8 * size), dtype=np.uint8)
+        for a in range(0, len(ids), _PACK_ROWS):
+            band = block[a:a + _PACK_ROWS]
+            rows[:len(band), :cols] = band
+            codes[a:a + len(band)] = np.packbits(rows[:len(band)]).view(f">u{size}")
+        if size < 8:
+            codes <<= np.uint64(64 - 8 * size)
+        return codes
 
     def _random_bit(self, key_id: int, i: int) -> int:
         """Bit i of random key key_id: the bit_block hash on Python ints."""

@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_DEPTH_CAP = 4096
-_PACK_ROWS = 1 << 13     # rows padded to whole bytes at a time by _word
 
 
 class DepthCapError(RuntimeError):
@@ -97,31 +96,10 @@ def count_filled_oracle(keys: KeySet, k: int) -> int:
     return sum(1 for c in tally.values() if c >= 2)
 
 
-def _word(keys: KeySet, ids: np.ndarray, start: int, width: int = 64) -> np.ndarray:
-    """Bits start .. start+width-1 (width <= 64) of each key as a uint64, MSB
-    first and zero below; a finite key reads 0 past its end."""
-    block = (keys.bit_block(ids, start, width) if keys.is_random
-             else keys._finite_bits[ids, start:start + width])   # zero padded
-    # rows padded to 1, 2, 4 or 8 whole bytes pack in one call into big-endian
-    # words, several times faster than packing short rows one by one; a band
-    # of rows at a time keeps the padded copy small
-    cols = block.shape[1]
-    size = 1 << max(0, (cols - 1) // 8).bit_length()
-    codes = np.empty(len(ids), dtype=np.uint64)
-    rows = np.zeros((min(len(ids), _PACK_ROWS), 8 * size), dtype=np.uint8)
-    for a in range(0, len(ids), _PACK_ROWS):
-        band = block[a:a + _PACK_ROWS]
-        rows[:len(band), :cols] = band
-        codes[a:a + len(band)] = np.packbits(rows[:len(band)]).view(f">u{size}")
-    if size < 8:
-        codes <<= np.uint64(64 - 8 * size)
-    return codes
-
-
 def _codes(keys: KeySet, ids: np.ndarray, start: int, width: int) -> np.ndarray:
     """Bits start .. start+width-1 (width <= 64) of each key, right-aligned:
     the integer they spell."""
-    return _word(keys, ids, start, width) >> np.uint64(64 - width)
+    return keys.word(ids, start, width) >> np.uint64(64 - width)
 
 
 def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
@@ -147,18 +125,18 @@ def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
     """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)
-    codes = _word(keys, ids, base)
+    codes = keys.word(ids, base)
     order = np.argsort(codes)
     codes, order = codes[order], ids[order]
     lcp = _adjacent_lcp(codes)
-    end = None if keys.is_random else keys._finite_bits.shape[1] - base
+    end = None if keys.is_random else int(keys._lengths.max(initial=0)) - base
     width = 64
     tied = np.flatnonzero(lcp == width)
     while len(tied) and (end is None or width < end):
         # the rows of the tied runs, re-sorted within each run by their next word
         rows = np.union1d(tied, tied + 1)
         follows = np.isin(rows, tied + 1)
-        word = _word(keys, order[rows], base + width)
+        word = keys.word(order[rows], base + width)
         perm = np.lexsort((word, np.cumsum(~follows)))
         order[rows] = order[rows][perm]
         lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]

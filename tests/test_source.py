@@ -21,9 +21,11 @@ from alctrie.source import (
     prefix_probability,
 )
 
-# the key file loader parses in bulk with numpy and re: a deprecation there
-# fails these tests instead of printing a warning
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+# the key file loader parses in bulk with numpy and re: a deprecation raised
+# on alctrie's behalf fails these tests instead of printing a warning.  Only
+# alctrie's: Hypothesis's failure report imports modules that warn too, and an
+# error there would end the session with the falsifying example unseen
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning:alctrie")
 
 
 def test_params_validation():
@@ -249,11 +251,20 @@ def test_loader_matches_reference_tuple_loader(lines):
         assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
         return
     ks = KeySet.from_lines(lines)
-    bits = ks._finite_bits
-    assert bits.dtype == np.uint8 and bits.flags.c_contiguous
-    assert bits.shape == mat.shape and np.array_equal(bits, mat)
+    _assert_words_hold(ks, mat)
     assert ks._lengths.dtype == np.int64 and np.array_equal(ks._lengths, lengths)
     assert len(ks) == len(lengths)
+
+
+def _assert_words_hold(ks, mat):
+    """The finite key set stores the rows of the bit matrix `mat` as uint64
+    words, MSB first and zero padded to whole words, at least one per key."""
+    words = ks._words
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert words.shape == (len(mat), max(1, -(-mat.shape[1] // 64)))
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
+    assert np.array_equal(bits[:, :mat.shape[1]], mat)
+    assert not bits[:, mat.shape[1]:].any()
 
 
 def _large_key_file(rng, n):
@@ -306,7 +317,20 @@ def test_large_mixed_key_file_matches_a_per_line_build(tmp_path):
     for i, (length, value) in enumerate(keys):
         mat[i, :length] = [int(c) for c in format(value, f"0{length}b")]
     assert np.array_equal(ks._lengths, lengths)
-    assert ks._finite_bits.dtype == np.uint8 and np.array_equal(ks._finite_bits, mat)
+    _assert_words_hold(ks, mat)
+
+
+def test_one_long_key_among_short_ones_is_stored_in_words():
+    # one 50,000-bit key among 2,000 /24s: 782 words a key, where a byte per
+    # bit came to 95 MiB
+    rng = random.Random(49)
+    long_key = "1" + "".join(rng.choice("01") for _ in range(49_999))
+    lines = [f"10.{i >> 8}.{i & 255}.0/24" for i in range(2000)] + [long_key]
+    ks = KeySet.from_lines(lines)
+    assert ks._words.nbytes == 2001 * 782 * 8
+    assert ks[2000].prefix(50_000) == tuple(map(int, long_key))
+    assert ks.word(np.array([1999, 2000]), 49_990, 12).tolist() == \
+        [0, int(long_key[49_990:], 2) << 54]
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -368,7 +392,7 @@ def test_empty_key_file(tmp_path):
     path.write_text("# only a comment\n\n")
     for ks in (KeySet.from_lines([]), load_keys(path)):
         assert len(ks) == 0
-        assert ks._finite_bits.shape == (0, 0) and ks._lengths.shape == (0,)
+        assert ks._words.shape == (0, 1) and ks._lengths.shape == (0,)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -648,6 +672,12 @@ def test_key_ids_outside_the_set_rejected(keys):
         keys.bit_block(np.array([3]), 0, 0)
     assert keys.bit_block(np.array([0, 2]), 0, 2).shape == (2, 2)
     assert keys.bit_block(np.array([], dtype=np.int64), 0, 2).shape == (0, 2)
+    # and key_length would give key n-1's length for id -1
+    for bad in (-1, 3, 99, np.int64(-2)):
+        with pytest.raises(IndexError, match=fr"^key id {bad} out of range \(n=3\)$"):
+            keys.key_length(bad)
+    assert [keys.key_length(i) for i in (0, np.int64(2))] == \
+        ([None, None] if keys.is_random else [4, 4])
 
 
 def test_out_of_range_bit_index_rejected():
@@ -656,3 +686,55 @@ def test_out_of_range_bit_index_rejected():
         ks[0].bit(2**32)
     with pytest.raises(ValueError):
         ks.bit_block(np.array([0]), 2**32 - 1, 2)
+
+
+def _packed(block) -> list[int]:
+    """The rows of a bit block as 64-bit words, MSB first and zero below."""
+    return [int("".join(map(str, row)).ljust(64, "0"), 2) for row in block.tolist()]
+
+
+def _check_words(ks, lines, start, width):
+    """KeySet.word against the key lines, zero past each key's end, and
+    against bit_block for the keys that reach start + width."""
+    ids = np.arange(len(ks))
+    got = ks.word(ids, start, width)
+    assert got.dtype == np.uint64 and got.shape == (len(ks),)
+    assert got.tolist() == [int(line[start:start + width].ljust(64, "0"), 2)
+                            for line in lines]
+    whole = ids[ks._lengths >= start + width]
+    assert got[whole].tolist() == _packed(ks.bit_block(whole, start, width))
+
+
+def test_word_matches_bit_block_at_every_word_boundary():
+    # keys of 1 to 190 bits, read from starts at a word's first, second and
+    # last bit, one to three words in; the last start lies past every word
+    rng = random.Random(19)
+    lines = ["1"] + ["0" + format(i, "03b")
+                     + "".join(rng.choice("01") for _ in range(length - 4))
+                     for i, length in enumerate((63, 64, 65, 127, 128, 190))]
+    finite = KeySet.from_lines(lines)
+    rand = generate_keys(SourceParams(0.5, 19), 7)
+    for start in (0, 1, 63, 64, 65, 127, 128, 129, 191, 192):
+        for width in range(1, 65):
+            _check_words(finite, lines, start, width)
+            assert rand.word(np.arange(7), start, width).tolist() == \
+                _packed(rand.bit_block(np.arange(7), start, width))
+    # the scalar read agrees, for an int or a numpy index
+    for key, line in zip(finite, lines):
+        assert [key.bit(i) for i in range(len(line))] == list(map(int, line))
+        assert [key.bit(np.int64(i)) for i in range(len(line))] == list(map(int, line))
+
+
+@st.composite
+def _prefix_free_lines(draw):
+    """0/1 key lines of 1 to 200 bits, none extending another."""
+    strings = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=200),
+                            min_size=1, max_size=12, unique=True))
+    return [s for s in strings
+            if not any(t != s and s.startswith(t) for t in strings)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_prefix_free_lines(), start=st.integers(0, 260), width=st.integers(1, 64))
+def test_word_matches_key_lines_of_mixed_length(lines, start, width):
+    _check_words(KeySet.from_lines(lines), lines, start, width)

@@ -15,7 +15,6 @@ from alctrie.trie import (
     _level_counts,
     _random_level_counts,
     _sorted_lcp,
-    _word,
     alpha_fillup_level,
     count_filled_oracle,
     tabulate_profile,
@@ -163,10 +162,11 @@ def test_indistinguishable_keys_error():
 def test_nested_keys_built_around_the_loader_are_refused(lines):
     # the loader refuses nested and equal keys; a set built without it sorts
     # in bounded time, and compress and the depth walk refuse it all the same
-    bits = np.zeros((2, max(map(len, lines))), dtype=np.uint8)
-    for row, line in zip(bits, lines):
-        row[:len(line)] = [int(c) for c in line]
-    ks = KeySet(params=None, n=2, finite_bits=bits,
+    width = -(-max(map(len, lines)) // 64)
+    padded = [line.ljust(64 * width, "0") for line in lines]
+    words = np.array([[int(row[c:c + 64], 2) for c in range(0, 64 * width, 64)]
+                      for row in padded], dtype=np.uint64)
+    ks = KeySet(params=None, n=2, words=words,
                 lengths=np.array([len(line) for line in lines], dtype=np.int64))
     assert _sorted_lcp(ks)[1][0] >= len(lines[0])
     for route in (lambda: compress(ks, 0.5), lambda: designated_depth(ks, 0.5, 1)):
@@ -205,7 +205,7 @@ def test_shared_prefix_counts_early_stop_matches_full():
                generate_keys(SourceParams(0.97, 5150), 64)):
         order, full_lcp, codes = _sorted_lcp(ks)
         # codes are the first 64 bits of the keys in order
-        assert codes.tolist() == _word(ks, order, 0).tolist()
+        assert codes.tolist() == ks.word(order, 0).tolist()
         full = tabulate_profile(ks).counts.tolist()
         ids = np.random.default_rng(5150).permutation(len(ks))
         for top in (0, 1, 7, 17, 64, 70, len(full) - 1, len(full) + 5):
