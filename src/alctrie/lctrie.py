@@ -21,7 +21,7 @@ from .trie import (
     _capped_fillup,
     _fillup_bound,
     _level_counts,
-    _sorted_lcp,
+    _sorted_view,
 )
 
 __all__ = [
@@ -64,7 +64,8 @@ class AlcTrie:
     Node v consumes consumed[v] levels and owns the 2**consumed[v] slots of
     `slots` from first[v] on; a slot holds a key id, -1 when empty, or ~u for
     child node u (the root is no child, so ~u <= -2).  Node v's keys are
-    order[lo[v]:hi[v]], `order` being the keys in sorted order, and `height`
+    order[lo[v]:hi[v]], `order` being the keys in sorted order (read-only:
+    the key set's sorted view, shared by its profile), and `height`
     is the number of node depths.  A set of fewer than two keys has no node.
     """
 
@@ -132,7 +133,7 @@ def compress(keys: KeySet, alpha: float,
     n = len(keys)
     if n < 2:
         return AlcTrie(keys, alpha, np.arange(n), *[np.zeros(0, np.int64)] * 5, 0)
-    order, lcp, codes = _sorted_lcp(keys)
+    order, lcp, codes = _sorted_view(keys)
     lcp = np.append(lcp, -1)
     lengths = None if keys.is_random else keys._lengths[order]
     need = alpha * np.exp2(np.arange(_fillup_bound(n, alpha) + 1))  # alpha * 2**k
@@ -174,13 +175,13 @@ def compress(keys: KeySet, alpha: float,
                          f"key {order[at[c]]} is too short to address a slot "
                          f"spanning levels {base[g]}..{stop[g] - 1}"))
             size, parent, at = size[:c], parent[:c], at[:c]
-        # slot: bits base .. stop-1 of the child's first key, one read per base past 64
+        # slot: bits base .. stop-1 of the child's first key, read in one call
+        # for the slots past bit 64
         width, base = consumed[parent], base[parent]
         slot = codes[at] << base.astype(np.uint64)
         deep = (base + width > 64).nonzero()[0]
-        for b in set(base[deep].tolist()):
-            i = deep[base[deep] == b]
-            slot[i] = keys.word(order[at[i]], b, int(width[i].max()))
+        if len(deep):
+            slot[deep] = keys.word(order[at[deep]], base[deep], int(width[deep].max()))
         slot >>= (64 - width).astype(np.uint64)
         group = size > 1
         count += len(consumed)

@@ -161,7 +161,9 @@ class KeySet:
     and their bits, MSB first in zero-padded 64-bit words, one row per key.
     Instances are immutable and safe for concurrent reads: random bits are
     recomputed from (seed, key id, bit index) rather than cached, so there is
-    no mutable state to race on.
+    no mutable state to race on.  The keys' sorted order, which profiles and
+    compression read, is a read-only value derived once per set and kept
+    outside it (`trie._sorted_view`).
     """
 
     def __init__(self, *, params: SourceParams | None, n: int,
@@ -307,13 +309,12 @@ class KeySet:
 
     # -- bit access ----------------------------------------------------------
 
-    def bit_block(self, ids: np.ndarray, start: int, width: int) -> np.ndarray:
-        """Bits [start, start+width) of the given keys as a (len(ids), width)
-        uint8 array.  Raises KeyExhaustedError if any finite key is too short,
-        ValueError if start or width is negative, and IndexError if an id
-        lies outside [0, n).
-        """
-        if start < 0 or width < 0:
+    def _read_ids(self, ids: np.ndarray, start, width: int) -> np.ndarray:
+        """The ids of a read of bits [start, start+width) as int64, after
+        checking it: ValueError if start (an int, or one per id) or width is
+        negative, IndexError if an id lies outside [0, n)."""
+        lowest = start.min(initial=0) if isinstance(start, np.ndarray) else start
+        if lowest < 0 or width < 0:
             raise ValueError(
                 f"bit block start and width must be non-negative, got {start} and {width}")
         ids = np.asarray(ids, dtype=np.int64)
@@ -321,9 +322,23 @@ class KeySet:
         if len(ids) and ids.view(np.uint64).max() >= self._n:
             bad = ids[(ids < 0) | (ids >= self._n)][0]
             raise IndexError(f"key id {bad} out of range (n={self._n})")
+        return ids
+
+    def bit_block(self, ids: np.ndarray, start, width: int) -> np.ndarray:
+        """Bits [start, start+width) of the given keys as a (len(ids), width)
+        uint8 array, `start` being an int, read from every key, or, for random
+        keys, one int64 per id, each key's own start (KeySet.word takes one
+        for finite keys too).  Raises KeyExhaustedError if any finite key is
+        too short, ValueError if start or width is negative, and IndexError if
+        an id lies outside [0, n).
+        """
+        ids = self._read_ids(ids, start, width)
+        per_row = isinstance(start, np.ndarray)
         if width == 0:
             return np.zeros((len(ids), 0), dtype=np.uint8)
         if self._lengths is not None:
+            if per_row:
+                raise ValueError("bit_block reads finite keys from one start")
             end = start + width
             short = np.flatnonzero(self._lengths[ids] < end)
             if len(short) > 0:
@@ -332,7 +347,7 @@ class KeySet:
             # unpack the words covering [start, end), as big-endian bytes in bit order
             block = self._words[ids, start // 64:-(-end // 64)].astype(">u8")
             return np.unpackbits(block.view(np.uint8), axis=1)[:, start % 64:][:, :width]
-        if start + width > MAX_BIT_INDEX:
+        if (start.max(initial=0) if per_row else start) + width > MAX_BIT_INDEX:
             raise ValueError("bit index out of supported range")
         # the two rounds of _fmix64_scalar, fused into 12 passes per bit by
         # three identities:
@@ -346,7 +361,9 @@ class KeySet:
         u33 = _U64(33)
         rows = (ids.astype(np.uint64) << _U64(32)) ^ _U64(self._s1)
         rows ^= rows >> u33
-        cols = np.arange(start, start + width, dtype=np.uint64)
+        # the bit indices: one row shared by every key, or one row per key
+        cols = (start.astype(np.uint64)[:, None] if per_row else _U64(start)) \
+            + np.arange(width, dtype=np.uint64)
         c1, c2 = _U64(_FMIX_C1), _U64(_FMIX_C2)
         k = _U64(self._s2 ^ (self._s2 >> 33))
         cut = _U64(self._cut)
@@ -359,7 +376,8 @@ class KeySet:
         for a in range(0, len(ids), step):
             band = rows[a:a + step]
             hb, tb = h[:len(band)], tmp[:len(band)]
-            np.bitwise_xor(band[:, None], cols[None, :], out=hb)
+            np.bitwise_xor(band[:, None], cols if cols.ndim == 1 else cols[a:a + step],
+                           out=hb)
             hb *= c1
             np.right_shift(hb, u33, out=tb)
             hb ^= tb
@@ -373,15 +391,23 @@ class KeySet:
             np.less(hb, cut, out=out[a:a + step])
         return out.view(np.uint8)
 
-    def word(self, ids: np.ndarray, start: int, width: int = 64) -> np.ndarray:
+    def word(self, ids: np.ndarray, start, width: int = 64) -> np.ndarray:
         """Bits start .. start+width-1 (width <= 64) of each key as a uint64, MSB
-        first and zero below; a finite key reads 0 past its end."""
+        first and zero below; a finite key reads 0 past its end.  `start` is
+        an int, read from every key, or one int64 per id, each key's own
+        start.  Raises as bit_block does for a negative start or width and
+        for an id outside [0, n)."""
         if self._words is not None:
-            j, s = divmod(start, 64)
-            cols = self._words[ids, j:j + 2]   # none past the last column
-            out = cols[:, 0] << _U64(s) if cols.shape[1] else np.zeros(len(ids), _U64)
-            if cols.shape[1] == 2:   # numpy shifts a uint64 by 64 to 0
-                out |= cols[:, 1] >> _U64(64 - s)
+            ids = self._read_ids(ids, start, width)
+            # words j and j + 1 of each key, a column past the store's last reading 0
+            start = np.asarray(start)
+            j, s = start >> 6, (start & 63).astype(np.uint64)
+            last = self._words.shape[1] - 1
+            out = self._words[ids, np.minimum(j, last)] << s
+            out[j > last] = 0
+            if (j < last).any():   # numpy shifts a uint64 by 64 to 0
+                nxt = self._words[ids, np.minimum(j + 1, last)] >> (_U64(64) - s)
+                out |= np.where(j < last, nxt, _U64(0))
             return out & _HEAD[width]
         block = self.bit_block(ids, start, width)
         # rows padded to 1, 2, 4 or 8 whole bytes pack in one call into big-endian
@@ -480,17 +506,9 @@ def _nested_key_error(lengths: np.ndarray, words: np.ndarray,
     raise AssertionError("no key extends another")
 
 
-# the shortest spelling of every octet value: a dict lookup costs about a
-# third of int(), and most of a key file's numbers are of this form
-_SHORTEST = {str(v): v for v in range(256)}
-
-
 def _decimal(text: str) -> int | None:
     """The value of a string of ASCII decimal digits, else None: int() alone
     would also take a sign, spaces, underscores and non-ASCII digits."""
-    value = _SHORTEST.get(text)
-    if value is not None:
-        return value
     if not (text.isascii() and text.isdigit()):
         return None
     try:

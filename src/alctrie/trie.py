@@ -15,11 +15,14 @@ only if no level so far falls below alpha.  A group whose bound fits one
 64-bit word is counted from the codes its bits read spell (`_code_counts`):
 from a histogram halved level by level where it has at most 4 bins per key,
 else from the sorted codes' LCPs; finite keys read straight to the bound.
-Groups whose bound passes 64 bits are sorted whole by `_sorted_lcp`.
+Groups whose bound passes 64 bits are sorted whole by `_sorted_lcp`.  A
+whole key set is sorted once (`_sorted_view`): its profile and every
+compression of it read the same read-only order, LCPs and codes.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -145,6 +148,23 @@ def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
     return order, lcp, codes
 
 
+# each key set's sorted view, kept for the set's life without touching it
+_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _sorted_view(keys: KeySet):
+    """_sorted_lcp(keys) for the whole set, computed once per key set and
+    read-only: every profile and compression of the set shares it.  Two
+    threads meeting an unsorted set may both sort it, to equal views."""
+    view = _VIEWS.get(keys)
+    if view is None:
+        view = _sorted_lcp(keys)
+        for a in view:
+            a.flags.writeable = False
+        _VIEWS[keys] = view
+    return view
+
+
 def _level_counts(lcp: np.ndarray, top: int,
                   rows: np.ndarray | None = None) -> np.ndarray:
     """Shared-prefix counts at levels 0 .. top of sorted keys from the LCPs of
@@ -249,15 +269,15 @@ def _run_of(order: np.ndarray, lcp: np.ndarray, shared: int):
 
 def _random_level_counts(keys: KeySet, top: int) -> np.ndarray:
     """Shared-prefix counts at levels 0 .. top of random keys, read `top`
-    bits deep (_code_counts), or, past 64 bits, from _sorted_lcp."""
+    bits deep (_code_counts), or, past 64 bits, from the sorted view."""
     if top > 64:
-        return _level_counts(_sorted_lcp(keys)[1], top)
+        return _level_counts(_sorted_view(keys)[1], top)
     return _code_counts(_codes(keys, np.arange(len(keys), dtype=np.int64), 0, top), top)
 
 
 def tabulate_profile(keys: KeySet) -> LevelProfile:
     """LevelProfile computed from the keys in sorted order, without a trie."""
-    lcp = _sorted_lcp(keys)[1]
+    lcp = _sorted_view(keys)[1]
     return LevelProfile(_level_counts(lcp, int(lcp.max(initial=-1))))
 
 

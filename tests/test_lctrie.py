@@ -28,6 +28,7 @@ from alctrie.source import (
     NestedKeyError,
     SourceParams,
     generate_keys,
+    load_keys,
     trial_seed,
 )
 from alctrie import trie
@@ -864,3 +865,38 @@ def test_unary_chain_matches_pinned_arrays():
     assert alc.height == 1251
     assert alc.consumed.tolist() == [2] * 1250 + [1]
     assert arrays_digest(alc) == CHAIN_DIGEST
+
+
+@pytest.mark.parametrize("source", ["skewed", "cidr"])
+def test_key_set_is_sorted_once_for_its_profile_and_compressions(source, tmp_path):
+    # a profile and compressions at two alphas share one sorted view of the
+    # set; each equals its value on a fresh set, and the view is read-only
+    if source == "skewed":   # keys sharing more than 64 bits
+        def make():
+            return generate_keys(SourceParams(0.9, 2024), 4096)
+    else:
+        path = tmp_path / "keys.txt"
+        values = random.Random(7).sample(range(1 << 24), 2000)
+        path.write_text("".join(f"{v >> 16}.{(v >> 8) & 255}.{v & 255}.0/24\n"
+                                for v in values), encoding="utf-8")
+
+        def make():
+            return load_keys(path)
+    keys, whole, sort = make(), [], trie._sorted_lcp
+
+    def counting(keys, ids=None, base=0):
+        if ids is None:
+            whole.append(keys)
+        return sort(keys, ids, base)
+    with mock.patch.object(trie, "_sorted_lcp", counting):
+        profile = tabulate_profile(keys)
+        tries = [compress(keys, alpha) for alpha in (1.0, 0.5)]
+    assert whole == [keys]
+    assert profile.counts.tolist() == tabulate_profile(make()).counts.tolist()
+    assert [arrays_digest(alc) for alc in tries] == \
+        [arrays_digest(compress(make(), alpha)) for alpha in (1.0, 0.5)]
+    view = trie._sorted_view(keys)
+    assert all(alc.order is view[0] for alc in tries)
+    for a in (*view, tries[1].order):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]

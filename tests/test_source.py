@@ -650,6 +650,10 @@ def test_negative_bit_index_or_width_rejected(keys):
     for start, width in ((-1, 1), (-2, 3), (0, -1), (2, -3)):
         with pytest.raises(ValueError, match="must be non-negative"):
             keys.bit_block(np.array([0]), start, width)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            keys.word(np.array([0]), start, width)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        keys.word(np.array([0, 1]), np.array([3, -1]), 2)
     with pytest.raises(ValueError, match="must be non-negative"):
         keys[0].bit(-1)
     with pytest.raises(ValueError, match="must be non-negative"):
@@ -668,10 +672,14 @@ def test_key_ids_outside_the_set_rejected(keys):
                      ([1, -2, 5], -2)):
         with pytest.raises(IndexError, match=fr"^key id {bad} out of range \(n=3\)$"):
             keys.bit_block(np.array(ids), 0, 2)
+        with pytest.raises(IndexError, match=fr"^key id {bad} out of range \(n=3\)$"):
+            keys.word(np.array(ids), 0, 2)
     with pytest.raises(IndexError):
         keys.bit_block(np.array([3]), 0, 0)
     assert keys.bit_block(np.array([0, 2]), 0, 2).shape == (2, 2)
     assert keys.bit_block(np.array([], dtype=np.int64), 0, 2).shape == (0, 2)
+    assert keys.word(np.array([0, 2]), 0, 2).shape == (2,)
+    assert keys.word(np.array([], dtype=np.int64), 0, 2).shape == (0,)
     # and key_length would give key n-1's length for id -1
     for bad in (-1, 3, 99, np.int64(-2)):
         with pytest.raises(IndexError, match=fr"^key id {bad} out of range \(n=3\)$"):
@@ -707,18 +715,37 @@ def _check_words(ks, lines, start, width):
 
 def test_word_matches_bit_block_at_every_word_boundary():
     # keys of 1 to 190 bits, read from starts at a word's first, second and
-    # last bit, one to three words in; the last start lies past every word
+    # last bit, one to three words in; the last two starts lie past every word
     rng = random.Random(19)
     lines = ["1"] + ["0" + format(i, "03b")
                      + "".join(rng.choice("01") for _ in range(length - 4))
                      for i, length in enumerate((63, 64, 65, 127, 128, 190))]
     finite = KeySet.from_lines(lines)
     rand = generate_keys(SourceParams(0.5, 19), 7)
-    for start in (0, 1, 63, 64, 65, 127, 128, 129, 191, 192):
-        for width in range(1, 65):
+    ids = np.arange(7)
+    starts = (0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 320)
+    for width in range(1, 65):
+        for start in starts:
             _check_words(finite, lines, start, width)
-            assert rand.word(np.arange(7), start, width).tolist() == \
-                _packed(rand.bit_block(np.arange(7), start, width))
+            assert rand.word(ids, start, width).tolist() == \
+                _packed(rand.bit_block(ids, start, width))
+        # each case once more in one read with every key at its own start,
+        # which equals each key's read at that start alone
+        for ks in (finite, rand):
+            alone = {start: ks.word(ids, start, width) for start in starts}
+            for shift in range(len(starts)):
+                mixed = np.array([starts[(i + shift) % len(starts)] for i in ids])
+                assert ks.word(ids, mixed, width).tolist() == \
+                    [alone[s][i] for i, s in enumerate(mixed.tolist())]
+    with pytest.raises(ValueError, match="from one start"):
+        finite.bit_block(ids, mixed, 1)
+    # and over more keys than bit_block hashes in one band
+    many = generate_keys(SourceParams(0.5, 19), 3000)
+    ids = np.arange(3000)
+    mixed = ids % 97
+    got = many.word(ids, mixed, 64)
+    assert all(got[mixed == s].tolist() == many.word(ids[mixed == s], s, 64).tolist()
+               for s in range(97))
     # the scalar read agrees, for an int or a numpy index
     for key, line in zip(finite, lines):
         assert [key.bit(i) for i in range(len(line))] == list(map(int, line))
