@@ -11,6 +11,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .analysis import (
     ModelParams,
     depth_constant,
@@ -29,7 +31,7 @@ from .montecarlo import (
     simulate_depth,
     simulate_fillup,
 )
-from .source import KeyFileError, load_keys, parse_key_line
+from .source import KeyFileError, load_keys, load_queries
 
 
 def _parse_range(text: str) -> list[int]:
@@ -279,18 +281,17 @@ def _cmd_query(args, out):
     _check_fraction("--alpha", args.alpha, closed=True)
     keys = load_keys(args.keys)
     trie = compress(keys, args.alpha)
+    # every query parsed, the first malformed line raising, before any lookup
+    lengths, words = load_queries(args.queries)
     answers = []
-    with open(args.queries, "r", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            bits = parse_key_line(line, line_no)
-            kid = longest_prefix_match(trie, bits)
-            if kid is None:
-                answers.append(None)
-            else:
-                answers.append((kid, match_length(trie, bits, kid)))
+    for length, row in zip(lengths.tolist(), words):
+        bits = np.unpackbits(row.astype(">u8").view(np.uint8), count=length)
+        query = tuple(bits.tolist())
+        kid = longest_prefix_match(trie, query)
+        if kid is None:
+            answers.append(None)
+        else:
+            answers.append((kid, match_length(trie, query, kid)))
     if args.format == "json":
         out.write(json_text([None if a is None else {"key_id": a[0], "match_length": a[1]}
                              for a in answers]))

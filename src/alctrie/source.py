@@ -9,9 +9,7 @@ safe to share across threads and makes parallel simulations reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,6 +26,7 @@ __all__ = [
     "KeyExhaustedError",
     "generate_keys",
     "load_keys",
+    "load_queries",
     "parse_key_line",
     "prefix_probability",
     "prefix_log_probability",
@@ -44,8 +43,9 @@ MAX_BIT_INDEX = 1 << 32
 _HASH_CHUNK = 1 << 16    # words hashed per band by bit_block, to stay in cache
 _PACK_ROWS = 1 << 13     # rows padded to whole bytes at a time by KeySet.word
 
-# a key file line in the usual CIDR spelling, whose numbers are read in bulk
-_PLAIN_CIDR = re.compile(r"[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}/[0-9]{1,2}")
+# the five fields of a plain CIDR line, a.b.c.d/len and its line end: the
+# non-digit that ends each, its most digits and its largest number
+_CIDR_FIELDS = [(ord("."), 3, 255)] * 3 + [(ord("/"), 3, 255), (ord("\n"), 2, 32)]
 # _HEAD[k]: the first k bits of a 64-bit word
 _HEAD = np.array([_MASK64 ^ (_MASK64 >> k) for k in range(65)], dtype=np.uint64)
 # _SHIFT[i & 63]: bit i's shift to the foot of its word, an int for a numpy i too
@@ -210,80 +210,27 @@ class KeySet:
         (KeyFileError) or duplicate (DuplicateKeyError) in file order is
         raised.  Only a file with neither is checked for nesting: then the
         first key in file order that extends another raises NestedKeyError,
-        naming the shortest key it extends.  All lines are read before any
-        is checked, so reading a file that is not valid UTF-8 raises
-        UnicodeDecodeError even when a malformed line comes first.
+        naming the shortest key it extends.
         """
-        texts = list(map(str.strip, lines))
-        # the numbers of every line in the usual CIDR spelling, in one call;
-        # the lines whose numbers are out of range are left to _parse_key
-        plain = np.fromiter(map(bool, map(_PLAIN_CIDR.fullmatch, texts)),
-                            dtype=bool, count=len(texts))
-        nums = np.fromstring(
-            ".".join(itertools.compress(texts, plain)).replace("/", "."),
-            dtype=np.int64, sep=".").reshape(-1, 5)
-        in_range = (nums[:, :4] <= 255).all(axis=1) & (nums[:, 4] <= 32)
-        plain[plain] = in_range
-        nums = nums[in_range]
-        # every other key line through _parse_key, up to the first malformed one
-        other, other_keys, error = [], [], None
-        for i in np.flatnonzero(~plain).tolist():
-            line = texts[i]
-            if line and line[0] != "#":
-                try:
-                    other_keys.append(_parse_key(line, i + 1))
-                except KeyFileError as exc:
-                    error = exc
-                    break
-                other.append(i)
-        if error is not None:   # only the keys above the malformed line count
-            end = error.line_no - 1
-            nums = nums[:np.count_nonzero(plain[:end])]
-            plain[end:] = False
-        # the keys in file order: a length and the bits, left-aligned in
-        # 64-bit words and zero padded
-        is_key = plain.copy()
-        is_key[other] = True
-        rows = np.flatnonzero(is_key)
-        at = np.cumsum(is_key) - 1
-        lengths = np.empty(len(rows), dtype=np.int64)
-        lengths[at[plain]] = nums[:, 4]
-        lengths[at[other]] = [length for length, _ in other_keys]
-        width = max(1, -(-int(lengths.max(initial=0)) // 64))
-        words = np.zeros((len(rows), width), dtype=np.uint64)
-        host = 32 - nums[:, 4]
-        addr = nums[:, :4] @ np.array([1 << 24, 1 << 16, 1 << 8, 1])
-        words[at[plain], 0] = ((addr >> host) << host).astype(np.uint64) << _U64(32)
-        words[at[other]] = np.frombuffer(b"".join(
-            (value << (64 * width - length)).to_bytes(8 * width, "big")
-            for length, value in other_keys), dtype=">u8").reshape(-1, width)
-        # sorted by bits, then length, equal keys lie together in file order,
-        # and a key that another key extends is followed by one that does
-        order = np.lexsort((lengths, *words.T[::-1]))
-        a, b = order[:-1], order[1:]
-        starts = np.ones(len(a), dtype=bool)   # key b starts with key a
-        for j in range(width):
-            head = _HEAD[np.clip(lengths[a] - 64 * j, 0, 64)]
-            starts &= (words[b, j] & head) == words[a, j]
-        same = starts & (lengths[a] == lengths[b])
-        if same.any():
-            i = int(b[same].min())
-            first = np.flatnonzero((lengths == lengths[i])
-                                   & (words == words[i]).all(axis=1))[0]
-            raise DuplicateKeyError(
-                f"duplicate key {texts[rows[i]]!r} (same bits as line "
-                f"{rows[first] + 1})", int(rows[i]) + 1)
-        if error is not None:
-            raise error
-        if starts.any():
-            raise _nested_key_error(lengths, words, rows)
-        return cls(params=None, n=len(rows), words=words, lengths=lengths,
+        lines = list(lines)
+        text = "\n".join(lines)
+        if text.count("\n") != max(len(lines) - 1, 0):
+            # an element holds a LF: it stands in the text as a lone CR, which
+            # the bytes do not settle, so _parse_text reads it from `lines`
+            text = "\n".join("\r" if "\n" in line else line for line in lines)
+        lengths, words = _parse_text(text, lines)
+        return cls(params=None, n=len(lengths), words=words, lengths=lengths,
                    origin=origin)
 
     @classmethod
     def from_file(cls, path) -> "KeySet":
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return cls.from_lines(fh, origin=str(path))
+        """Finite keys from a key file, as from_lines reads its lines.  The
+        whole file is read before any line is checked, so a file that is not
+        valid UTF-8 raises UnicodeDecodeError even when a malformed line
+        comes first."""
+        lengths, words = _parse_text(_read_text(path))
+        return cls(params=None, n=len(lengths), words=words, lengths=lengths,
+                   origin=str(path))
 
     # -- basic container behaviour ------------------------------------------
 
@@ -455,6 +402,14 @@ def load_keys(path) -> KeySet:
     return KeySet.from_file(path)
 
 
+def load_queries(path) -> tuple[np.ndarray, np.ndarray]:
+    """The queries of a query file, in file order, as the (n,) int64 lengths
+    and the (n, ceil(max_len / 64)) uint64 words of their bits, MSB first and
+    zero padded.  Lines read as load_keys reads them, and the first malformed
+    line raises KeyFileError; queries may repeat and extend each other."""
+    return _parse_text(_read_text(path), keys=False)
+
+
 def parse_key_line(line: str, line_no: int = 0) -> tuple[int, ...]:
     """Parse one key file line: either a 0/1 string or "a.b.c.d/len"."""
     length, value = _parse_key(line, line_no)
@@ -485,6 +440,182 @@ def _parse_key(line: str, line_no: int) -> tuple[int, int]:
     if line.strip("01"):
         raise KeyFileError(f"expected 0/1 characters or CIDR, got {line!r}", line_no)
     return len(line), int(line, 2) if line else 0
+
+
+def _read_text(path) -> str:
+    """A key file's whole text, its line ends read as LF and a leading byte
+    order mark dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def _parse_text(text: str, lines: Sequence[str] | None = None, *,
+                keys: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, words) of the keys of a key file's text, in file order: the
+    (n,) int64 lengths and the (n, ceil(max_len / 64)) uint64 words, bits MSB
+    first and zero padded (at least one word a key).  Line i + 1 is the text
+    up to its i-th LF; `lines`, if given, holds the same lines, to read those
+    the bytes do not settle from.
+
+    The lines _bulk_lines does not settle are stripped and given to it once
+    more.  Those it still does not settle (odd spellings such as 0010 or
+    /024, out-of-range and malformed lines) are parsed by _parse_key in file
+    order, up to the first malformed one.  With keys, the file's first fault
+    is raised as KeySet.from_lines states; without (a query file), the first
+    malformed line is, and keys may repeat and extend each other.
+    """
+    settled, cidr, addr, plen, groups = _bulk_lines(_utf8(text))
+    rest, texts = np.flatnonzero(~settled), []
+    if len(rest):
+        # the other lines stripped and read in bulk once more, so that a
+        # padded file costs a strip a line, not a _parse_key call; an inner
+        # LF, which only from_lines can pass, stands in as a lone CR
+        if lines is None:
+            lines = text.split("\n")
+        texts = [lines[i].strip() for i in rest.tolist()]
+        again, cidr2, addr2, plen2, groups2 = _bulk_lines(_utf8(
+            "".join("\r\n" if "\n" in line else line + "\n" for line in texts)))
+        cidr = np.concatenate((cidr, rest[cidr2]))
+        addr = np.concatenate((addr, addr2))
+        plen = np.concatenate((plen, plen2))
+        groups += [(length, rest[group], block) for length, group, block in groups2]
+        texts = [line for line, done in zip(texts, again.tolist()) if not done]
+        rest = rest[~again]
+    # every line still left through _parse_key, up to the first malformed one
+    other, other_keys, error = [], [], None
+    for i, line in zip(rest.tolist(), texts):
+        if line and line[0] != "#":
+            try:
+                other_keys.append(_parse_key(line, i + 1))
+            except KeyFileError as exc:
+                error = exc
+                break
+            other.append(i)
+    if error is not None:
+        if not keys:
+            raise error
+        # only the keys above the malformed line count
+        end = error.line_no - 1
+        keep = cidr < end
+        cidr, addr, plen = cidr[keep], addr[keep], plen[keep]
+        groups = [(length, group[group < end], block[group < end])
+                  for length, group, block in groups if group[0] < end]
+    # the keys in file order: a length and the bits, left-aligned in 64-bit
+    # words and zero padded
+    is_key = np.zeros(len(settled), dtype=bool)
+    is_key[cidr] = True
+    is_key[other] = True
+    for _, group, _ in groups:
+        is_key[group] = True
+    rows = np.flatnonzero(is_key)
+    at = np.cumsum(is_key) - 1
+    lengths = np.empty(len(rows), dtype=np.int64)
+    lengths[at[cidr]] = plen
+    lengths[at[other]] = [length for length, _ in other_keys]
+    for length, group, _ in groups:
+        lengths[at[group]] = length
+    width = max(1, -(-int(lengths.max(initial=0)) // 64))
+    words = np.zeros((len(rows), width), dtype=np.uint64)
+    host = 32 - plen
+    words[at[cidr], 0] = ((addr >> host) << host).astype(np.uint64) << _U64(32)
+    for length, group, block in groups:
+        span = -(-length // 64)
+        packed = np.zeros((len(group), 8 * span), dtype=np.uint8)
+        packed[:, :-(-length // 8)] = np.packbits(block & 1, axis=1)
+        words[at[group], :span] = packed.view(">u8")
+    words[at[other]] = np.frombuffer(b"".join(
+        (value << (64 * width - length)).to_bytes(8 * width, "big")
+        for length, value in other_keys), dtype=">u8").reshape(-1, width)
+    if not keys:
+        return lengths, words
+    # sorted by bits, then length, equal keys lie together in file order,
+    # and a key that another key extends is followed by one that does
+    order = np.lexsort((lengths, *words.T[::-1]))
+    a, b = order[:-1], order[1:]
+    starts = np.ones(len(a), dtype=bool)   # key b starts with key a
+    for j in range(width):
+        head = _HEAD[np.clip(lengths[a] - 64 * j, 0, 64)]
+        starts &= (words[b, j] & head) == words[a, j]
+    same = starts & (lengths[a] == lengths[b])
+    if same.any():
+        i = int(b[same].min())
+        first = np.flatnonzero((lengths == lengths[i])
+                               & (words == words[i]).all(axis=1))[0]
+        line = (text.split("\n") if lines is None else lines)[rows[i]]
+        raise DuplicateKeyError(
+            f"duplicate key {line.strip()!r} (same bits as line "
+            f"{rows[first] + 1})", int(rows[i]) + 1)
+    if error is not None:
+        raise error
+    if starts.any():
+        raise _nested_key_error(lengths, words, rows)
+    return lengths, words
+
+
+def _utf8(text: str) -> np.ndarray:
+    """The UTF-8 bytes of a key file's text, its last line ended by a LF.  A
+    lone surrogate, which only from_lines can pass, encodes to bytes that no
+    key line holds."""
+    if not text.endswith("\n"):
+        text += "\n"
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+def _bulk_lines(data: np.ndarray) -> tuple:
+    """The lines of a key file's UTF-8 bytes, each ended by a LF, that the
+    bytes settle, found in a few numpy passes over the bytes and their
+    non-digits, with no Python call per line:
+    - skipped: empty, or starting with '#';
+    - plain CIDR: exactly d{1,3}.d{1,3}.d{1,3}.d{1,3}/d{1,2}, its octets at
+      most 255 and its length at most 32;
+    - 0/1: only '0' and '1' bytes, read a length at a time.
+    Returns (settled, cidr, addr, plen, groups): a bool per line; the plain
+    CIDR lines with their 32-bit addresses and lengths; and a (length,
+    lines, their bytes) group for each length of the 0/1 lines.
+    """
+    # the non-digit bytes, among them each line's LF; positions are int32
+    # where they fit, half the memory of flatnonzero's int64
+    index = np.int32 if len(data) <= np.iinfo(np.int32).max else np.int64
+    sep = np.flatnonzero(data - np.uint8(48) > 9).astype(index)
+    sep_byte = data[sep]
+    ends = np.flatnonzero(sep_byte == 10).astype(index)
+    inner = np.diff(ends, prepend=-1) - 1   # non-digits in the line before its LF
+    begin = np.concatenate((np.zeros(1, dtype=index), sep[ends[:-1]] + 1))
+    size = sep[ends] - begin                # bytes in the line
+    skip = (size == 0) | (data[begin] == ord("#"))
+    settled = skip.copy()
+    # plain CIDR: the line's four non-digits are '.' '.' '.' '/', and its
+    # five digit runs, the last one before the LF, hold 1-3 digits (1-2 in
+    # the last) and a number of at most 255 (32 in the last)
+    cidr = np.flatnonzero(inner == 4)
+    last, prev = ends[cidr], begin[cidr] - 1
+    ok = np.ones(len(cidr), dtype=bool)
+    fields = np.zeros(len(cidr), dtype=np.int64)   # a byte a field
+    for k, (byte, most, top) in enumerate(_CIDR_FIELDS):
+        tok = last + (k - 4)
+        pos = sep[tok]
+        digits, prev = pos - prev - 1, pos
+        # the number from the run's last three bytes, those before it weighted 0
+        num = ((data[pos - 1] - 48) + (digits > 1) * 10 * (data[pos - 2] - 48)
+               + (digits > 2) * 100 * (data[pos - 3] - 48))
+        ok &= (sep_byte[tok] == byte) & (digits > 0) & (digits <= most) & (num <= top)
+        fields = fields << 8 | num
+    cidr, fields = cidr[ok], fields[ok]
+    addr, plen = fields >> 8, fields & 255
+    settled[cidr] = True
+    # 0/1 lines: digits only, none above '1'; one byte gather per length
+    bin_lines = np.flatnonzero((inner == 0) & ~skip)
+    size = size[bin_lines]
+    by_size = np.argsort(size, kind="stable")
+    sizes, cuts = np.unique(size[by_size], return_index=True)
+    groups = []
+    for length, group in zip(sizes.tolist(), np.split(bin_lines[by_size], cuts[1:])):
+        block = np.lib.stride_tricks.sliding_window_view(data, length)[begin[group]]
+        ok = (block < ord("2")).all(axis=1)
+        if ok.any():
+            groups.append((length, group[ok], block[ok]))
+            settled[group[ok]] = True
+    return settled, cidr, addr, plen, groups
 
 
 def _nested_key_error(lengths: np.ndarray, words: np.ndarray,

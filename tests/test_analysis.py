@@ -167,6 +167,48 @@ def test_expected_fill_fraction_equals_term_by_term_reference(p):
     assert wrong == []
 
 
+def mp_expected_fill_fraction(params, k):
+    """The expected fill fraction of level k, summed term by term in mpmath.
+    A cell c's tail 1 - (1-c)^n - n c (1-c)^(n-1) (or 1 - e^-mu (1 + mu))
+    cancels down to about (size c)^2 / 2, so the sum carries 40 digits more
+    than -log10 of the smallest cell's: at n = 2^40, k = 160, 60 digits give
+    3.9e-51 where the tail is 5.8e-63."""
+    small = min(params.p, params.q)
+    digits = max(0.0, -2 * (math.log10(params.size) + k * math.log10(small))) + 40
+    with mpmath.workdps(int(digits)):
+        p = mpmath.mpf(params.p)
+        total = mpmath.mpf(0)
+        for j in range(k + 1):
+            c = p**j * (1 - p)**(k - j)
+            if params.is_poisson:
+                mu = mpmath.mpf(params.lam) * c
+                tail = 1 - mpmath.exp(-mu) * (1 + mu)
+            else:
+                n = params.n
+                tail = 1 - (1 - c)**n - n * c * (1 - c)**(n - 1)
+            total += mpmath.binomial(k, j) * tail
+        return total / mpmath.mpf(2)**k
+
+
+@pytest.mark.parametrize("poisson", [False, True])
+def test_expected_fill_fraction_matches_high_precision(poisson):
+    # relative error at most 1e-9 for sizes up to 2^20, at nine levels from 0
+    # to 4 log2 n.  The grid's worst is 2.2e-10 (fixed n = 2^20, k = 30); the
+    # fixed-n error grows about as n ln n times the float epsilon, and reads
+    # 1.4e-5 at n = 2^32 (see README)
+    worst = []
+    for p in (0.5, 0.7, 0.9):
+        for n in (2, 10, 1000, 65536, 2**20):
+            params = (ModelParams(p=p, alpha=0.5, lam=float(n)) if poisson
+                      else ModelParams(p=p, alpha=0.5, n=n))
+            top = 4 * math.log2(n)
+            for k in sorted({round(i * top / 8) for i in range(9)}):
+                want = mp_expected_fill_fraction(params, k)
+                error = abs(expected_fill_fraction(params, k) - want) / want
+                worst.append((float(error), p, n, k))
+    assert max(worst)[0] <= 1e-9, max(worst)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_expected_fill_fraction_exact_where_cells_straddle_the_series_switch(data):

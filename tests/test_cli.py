@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import alctrie
+import alctrie.cli
 from alctrie import montecarlo
 from alctrie.analysis import prob_poisson_ge2
 from alctrie.cli import build_parser, main
@@ -328,14 +329,19 @@ def test_build_rejects_bad_key_lines(tmp_path, capsys, keys_text, message):
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_query_rejects_bad_query_line(tmp_path, capsys):
+def test_query_rejects_bad_query_line(tmp_path, capsys, monkeypatch):
     keys = tmp_path / "keys.txt"
     keys.write_text("00\n01\n1\n")
     queries = tmp_path / "queries.txt"
     queries.write_text("0101\n# comment\n1.2.3.4/-1\n")
+    # the whole query file is parsed before the first lookup
+    looked_up = []
+    monkeypatch.setattr(alctrie.cli, "longest_prefix_match",
+                        lambda trie, query: looked_up.append(query))
     code, out, err = run_cli(capsys, "query", "--keys", str(keys),
                              "--queries", str(queries))
     assert (code, out, err) == (1, "", "error: line 3: bad prefix length '-1'\n")
+    assert looked_up == []
 
 
 def test_build_long_shared_prefix(tmp_path, capsys):

@@ -161,13 +161,13 @@ def _ref_parse(line, line_no):
     return tuple(int(c) for c in line)
 
 
-def _ref_load(lines):
+def _ref_load(lines, parse=_ref_parse):
     keys, seen = [], {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        bits = _ref_parse(line, line_no)
+        bits = parse(line, line_no)
         if bits in seen:
             raise DuplicateKeyError(
                 f"duplicate key {line!r} (same bits as line {seen[bits]})", line_no
@@ -242,18 +242,114 @@ def _key_files(draw):
 @settings(max_examples=400, deadline=None)
 @given(lines=_key_files())
 def test_loader_matches_reference_tuple_loader(lines):
+    _assert_loads_as(lambda: KeySet.from_lines(lines), lines)
+
+
+def _assert_loads_as(load, lines, parse=_ref_parse):
+    """load() gives the keys _ref_load finds in the lines, or raises its
+    first fault: the same type, line number and text."""
     try:
-        mat, lengths = _ref_load(lines)
+        mat, lengths = _ref_load(lines, parse)
     except KeyFileError as exc:
         with pytest.raises(KeyFileError) as err:
-            KeySet.from_lines(lines)
+            load()
         assert type(err.value) is type(exc)
         assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
         return
-    ks = KeySet.from_lines(lines)
+    ks = load()
     _assert_words_hold(ks, mat)
     assert ks._lengths.dtype == np.int64 and np.array_equal(ks._lengths, lengths)
     assert len(ks) == len(lengths)
+
+
+# padding that str.strip drops and a text-mode file does not split lines at
+_PAD = st.text(alphabet="\t\x0b\x1c\xa0 ", max_size=2)
+
+
+@st.composite
+def _key_file_text(draw):
+    """A key file's text: keys from a small pool, so that some repeat or
+    nest, in plain CIDR, in spellings the bulk read leaves to _parse_key
+    (0010, /024), as 0/1 strings of 0-200 bits, and with out-of-range
+    numbers; lines of digits other than 0/1; blank lines and comments holding non-ASCII text; keys padded
+    with ASCII and Unicode whitespace; LF, CRLF and lone-CR line ends; and
+    maybe a byte order mark."""
+    def keys(most):   # 0/1 strings of at most `most` bits
+        return st.integers(0, most).flatmap(lambda k: st.integers(0, 2**k - 1).map(
+            lambda v: format(v, f"0{k}b")[:k]))
+
+    short = draw(st.lists(keys(32), min_size=1, max_size=3))
+    pool = short + draw(st.lists(keys(200), max_size=3))
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["cidr"] * 4 + ["bits"] * 3
+                                    + ["range", "digits", "comment", "blank"]))
+        if kind == "cidr":
+            line = draw(_cidr_line(draw(st.sampled_from(short))))
+            if draw(st.booleans()):   # /024, or /008 where /8 is plain
+                address, _, plen = line.partition("/")
+                line = f"{address}/{plen:0>3}"
+        elif kind == "bits":
+            line = draw(st.sampled_from(pool))
+        elif kind == "range":   # one number past its bound
+            line = draw(st.sampled_from(["1.2.3.256/24", "256.0.0.0/8",
+                                         "10.0.0.0/33", "0.0.0.0/99"]))
+        elif kind == "digits":   # such as 0102, which is no 0/1 key
+            line = draw(st.text(alphabet="0129", min_size=1, max_size=5))
+        elif kind == "comment":
+            line = "#" + draw(st.text(alphabet="01./ xé€\u00b2\U0001f600", max_size=8))
+        else:
+            line = ""
+        line = draw(_PAD) + line + draw(_PAD)
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_key_file_text())
+def test_key_file_loads_as_a_per_line_build(tmp_path_factory, text):
+    # the reference reads the file a line at a time and every key through
+    # _parse_key: the byte classifier must agree on keys and faults alike
+    path = tmp_path_factory.getbasetemp() / "keys.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = list(fh)
+    _assert_loads_as(lambda: load_keys(path), lines, parse_key_line)
+
+
+def test_from_lines_element_holding_a_line_end():
+    # an element is one line, whatever it holds: an inner LF is part of a
+    # malformed line, a trailing one is stripped, a comment runs to its end
+    for lines in (["01", "1\n0", "11"], ["01\n", "# x\n10", "11\r\n", "\n00"],
+                  ["\n", "10.0.0.0/8\n", " 0\n"]):
+        _assert_loads_as(lambda: KeySet.from_lines(lines), lines)
+    with pytest.raises(KeyFileError) as err:
+        KeySet.from_lines(["01", "1\n0", "11"])
+    assert str(err.value) == "line 2: expected 0/1 characters or CIDR, got '1\\n0'"
+
+
+def test_plain_lines_load_without_the_line_parser(tmp_path, monkeypatch):
+    # plain CIDR and 0/1 lines are read in bulk, padded or not: _parse_key
+    # never runs on them
+    def refuse(line, line_no):
+        raise AssertionError(f"line {line_no} parsed alone: {line!r}")
+
+    rng = random.Random(26)
+    values = rng.sample(range(1 << 24), 2000)
+    cidr = [f"{v >> 16}.{(v >> 8) & 255}.{v & 255}.0/24" for v in values]
+    bits = [format(v, "024b") + format(rng.getrandbits(k), f"0{k}b")[:k]
+            for v, k in zip(values, itertools.cycle(range(0, 41, 8)))]
+    padded = [rng.choice(["", " ", "\t"]) + line + rng.choice(["", " \xa0"])
+              for line in cidr[:1000] + bits[1000:]]
+    files = (cidr, bits, padded)
+    expected = [_ref_load(lines) for lines in files]
+    monkeypatch.setattr(alctrie.source, "_parse_key", refuse)
+    for lines, (mat, lengths) in zip(files, expected):
+        path = tmp_path / "keys.txt"
+        path.write_text("# a comment\n\n" + "\n".join(lines) + "\n")
+        ks = load_keys(path)
+        _assert_words_hold(ks, mat)
+        assert np.array_equal(ks._lengths, lengths)
 
 
 def _assert_words_hold(ks, mat):
@@ -406,6 +502,15 @@ def test_empty_key_file(tmp_path):
     ("1.2.3.4/0_8", "bad prefix length '0_8'"),
     ("1.2.3.4/" + "9" * 5000, f"bad prefix length '{'9' * 5000}'"),
     ("1.2.3." + "9" * 5000 + "/8", f"bad IPv4 octet '{'9' * 5000}'"),
+    # near misses of the shapes the byte classifier reads in bulk
+    ("1..3.4/8", "bad IPv4 octet ''"),
+    (".1.2.3/4", "bad IPv4 octet ''"),
+    ("1.2.3.4/", "bad prefix length ''"),
+    ("1.2.3.4/8/9", "bad prefix length '8/9'"),
+    ("1.2.3.1000/8", "IPv4 octet 1000 exceeds 255"),
+    ("1.2.3.4/100", "prefix length 100 outside 0..32"),
+    ("0102", "expected 0/1 characters or CIDR, got '0102'"),
+    ("2", "expected 0/1 characters or CIDR, got '2'"),
 ])
 def test_cidr_number_errors_name_the_line(line, message):
     # past the first two lines, int() would take each number, or fail
