@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .source import KeySet
+from .source import KeySet, _sorted_view
 from .trie import (
     DEFAULT_DEPTH_CAP,
     DepthCapError,
@@ -21,7 +21,6 @@ from .trie import (
     _capped_fillup,
     _fillup_bound,
     _level_counts,
-    _sorted_view,
 )
 
 __all__ = [

@@ -161,9 +161,9 @@ class KeySet:
     and their bits, MSB first in zero-padded 64-bit words, one row per key.
     Instances are immutable and safe for concurrent reads: random bits are
     recomputed from (seed, key id, bit index) rather than cached, so there is
-    no mutable state to race on.  The keys' sorted order, which profiles and
-    compression read, is a read-only value derived once per set and kept
-    outside it (`trie._sorted_view`).
+    no mutable state to race on.  Their sorted view (`_sorted_view`) is a
+    private read-only value, computed by the loader for a key file and on
+    first use for a random set.
     """
 
     def __init__(self, *, params: SourceParams | None, n: int,
@@ -175,6 +175,7 @@ class KeySet:
         self._words = words                # (n, ceil(max_len / 64)) uint64, or None
         self._lengths = lengths            # (n,) int64, or None for random sets
         self.origin = origin
+        self._view = None                  # _sorted_view's (order, lcp, codes)
         if params is not None:
             # fold the seed into two whitening words used by the bit hash
             self._s1 = _fmix64_scalar(params.seed ^ _GOLDEN)
@@ -218,9 +219,7 @@ class KeySet:
             # an element holds a LF: it stands in the text as a lone CR, which
             # the bytes do not settle, so _parse_text reads it from `lines`
             text = "\n".join("\r" if "\n" in line else line for line in lines)
-        lengths, words = _parse_text(text, lines)
-        return cls(params=None, n=len(lengths), words=words, lengths=lengths,
-                   origin=origin)
+        return cls._load(text, origin, lines)
 
     @classmethod
     def from_file(cls, path) -> "KeySet":
@@ -228,9 +227,24 @@ class KeySet:
         whole file is read before any line is checked, so a file that is not
         valid UTF-8 raises UnicodeDecodeError even when a malformed line
         comes first."""
-        lengths, words = _parse_text(_read_text(path))
-        return cls(params=None, n=len(lengths), words=words, lengths=lengths,
-                   origin=str(path))
+        return cls._load(_read_text(path), str(path))
+
+    @classmethod
+    def _load(cls, text: str, origin: str,
+              lines: Sequence[str] | None = None) -> "KeySet":
+        """The keys of a key file's text.  No key repeats or extends another
+        exactly when no adjacent pair of their sorted view shares as many bits
+        as its shorter key (keys tied on their zero-padded bits sort in any
+        order); only a file failing that test is searched for its fault."""
+        lengths, words, rows, error = _parse_text(text, lines)
+        keys = cls(params=None, n=len(lengths), words=words, lengths=lengths,
+                   origin=origin)
+        if error is None:
+            order, lcp = _sorted_view(keys)[:2]
+            if not (lcp >= np.minimum(lengths[order[:-1]], lengths[order[1:]])).any():
+                return keys
+        raise _key_error(lengths, words, rows, error,
+                         text.split("\n") if lines is None else lines)
 
     # -- basic container behaviour ------------------------------------------
 
@@ -343,7 +357,9 @@ class KeySet:
         first and zero below; a finite key reads 0 past its end.  `start` is
         an int, read from every key, or one int64 per id, each key's own
         start.  Raises as bit_block does for a negative start or width and
-        for an id outside [0, n)."""
+        for an id outside [0, n), and ValueError for a width over 64."""
+        if width > 64:
+            raise ValueError(f"a word holds at most 64 bits, got width {width}")
         if self._words is not None:
             ids = self._read_ids(ids, start, width)
             # words j and j + 1 of each key, a column past the store's last reading 0
@@ -386,6 +402,62 @@ class KeySet:
         return f"KeySet(n={self._n}, {kind}, origin={self.origin!r})"
 
 
+def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
+    """Leading bits each 64-bit code shares with the next: 64 less the bit
+    length of their XOR x.  x & ~(x >> 1) keeps x's top bit and no two
+    adjacent ones, so float64 rounding cannot carry it to the next power of
+    two, and the exponent frexp reads off it is exact."""
+    x = ordered[1:] ^ ordered[:-1]
+    x &= ~(x >> np.uint64(1))
+    x = x.astype(np.float64)
+    return 64 - np.frexp(x)[1].astype(np.int64)
+
+
+def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
+    """The keys `ids` (default all) sorted by their bits from `base` on, with
+    the longest common prefix of each adjacent pair: (order, lcp, codes).
+
+    lcp[i] is the LCP of sorted keys i and i+1, counted from `base`; codes[i]
+    packs bits base .. base+63 of key order[i], MSB first, 0 past a finite
+    key's end.  Only runs tied on every word so far read their next 64 bits,
+    up to the longest finite key's end: in a prefix-free set, which the
+    loader guarantees, zero padding neither ties two keys nor lengthens an LCP.
+    """
+    if ids is None:
+        ids = np.arange(len(keys), dtype=np.int64)
+    codes = keys.word(ids, base)
+    order = np.argsort(codes)
+    codes, order = codes[order], ids[order]
+    lcp = _adjacent_lcp(codes)
+    end = None if keys.is_random else int(keys._lengths.max(initial=0)) - base
+    width = 64
+    tied = np.flatnonzero(lcp == width)
+    while len(tied) and (end is None or width < end):
+        # the rows of the tied runs, re-sorted within each run by their next word
+        rows = np.union1d(tied, tied + 1)
+        follows = np.isin(rows, tied + 1)
+        word = keys.word(order[rows], base + width)
+        perm = np.lexsort((word, np.cumsum(~follows)))
+        order[rows] = order[rows][perm]
+        lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]
+        width += 64
+        tied = np.flatnonzero(lcp == width)
+    return order, lcp, codes
+
+
+def _sorted_view(keys: KeySet):
+    """_sorted_lcp(keys) for the whole set, computed once per key set and
+    read-only, for the loader's check and every profile and compression of
+    it.  Two threads meeting an unsorted set may both sort it, to equal views."""
+    view = keys._view
+    if view is None:
+        view = _sorted_lcp(keys)
+        for a in view:
+            a.flags.writeable = False
+        keys._view = view
+    return view
+
+
 def generate_keys(params: SourceParams, n: int) -> KeySet:
     """n lazily extendable random keys drawn from the memoryless source."""
     return KeySet.random(params, n)
@@ -407,7 +479,10 @@ def load_queries(path) -> tuple[np.ndarray, np.ndarray]:
     and the (n, ceil(max_len / 64)) uint64 words of their bits, MSB first and
     zero padded.  Lines read as load_keys reads them, and the first malformed
     line raises KeyFileError; queries may repeat and extend each other."""
-    return _parse_text(_read_text(path), keys=False)
+    lengths, words, _, error = _parse_text(_read_text(path))
+    if error is not None:
+        raise error
+    return lengths, words
 
 
 def parse_key_line(line: str, line_no: int = 0) -> tuple[int, ...]:
@@ -449,20 +524,19 @@ def _read_text(path) -> str:
         return fh.read()
 
 
-def _parse_text(text: str, lines: Sequence[str] | None = None, *,
-                keys: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, words) of the keys of a key file's text, in file order: the
-    (n,) int64 lengths and the (n, ceil(max_len / 64)) uint64 words, bits MSB
-    first and zero padded (at least one word a key).  Line i + 1 is the text
-    up to its i-th LF; `lines`, if given, holds the same lines, to read those
-    the bytes do not settle from.
+def _parse_text(text: str, lines: Sequence[str] | None = None) -> tuple:
+    """(lengths, words, rows, error) of the keys of a key file's text, in
+    file order: the (n,) int64 lengths, the (n, ceil(max_len / 64)) uint64
+    words, bits MSB first and zero padded (at least one word a key), each
+    key's 0-based line, and the KeyFileError of the first malformed line,
+    past which the keys are incomplete, or None.  Line i + 1 is the text up
+    to its i-th LF; `lines`, if given, holds the same lines, to read those
+    the bytes do not settle from.  Keys may repeat and extend each other.
 
     The lines _bulk_lines does not settle are stripped and given to it once
     more.  Those it still does not settle (odd spellings such as 0010 or
     /024, out-of-range and malformed lines) are parsed by _parse_key in file
-    order, up to the first malformed one.  With keys, the file's first fault
-    is raised as KeySet.from_lines states; without (a query file), the first
-    malformed line is, and keys may repeat and extend each other.
+    order, up to the first malformed one.
     """
     settled, cidr, addr, plen, groups = _bulk_lines(_utf8(text))
     rest, texts = np.flatnonzero(~settled), []
@@ -491,15 +565,6 @@ def _parse_text(text: str, lines: Sequence[str] | None = None, *,
                 error = exc
                 break
             other.append(i)
-    if error is not None:
-        if not keys:
-            raise error
-        # only the keys above the malformed line count
-        end = error.line_no - 1
-        keep = cidr < end
-        cidr, addr, plen = cidr[keep], addr[keep], plen[keep]
-        groups = [(length, group[group < end], block[group < end])
-                  for length, group, block in groups if group[0] < end]
     # the keys in file order: a length and the bits, left-aligned in 64-bit
     # words and zero padded
     is_key = np.zeros(len(settled), dtype=bool)
@@ -526,30 +591,7 @@ def _parse_text(text: str, lines: Sequence[str] | None = None, *,
     words[at[other]] = np.frombuffer(b"".join(
         (value << (64 * width - length)).to_bytes(8 * width, "big")
         for length, value in other_keys), dtype=">u8").reshape(-1, width)
-    if not keys:
-        return lengths, words
-    # sorted by bits, then length, equal keys lie together in file order,
-    # and a key that another key extends is followed by one that does
-    order = np.lexsort((lengths, *words.T[::-1]))
-    a, b = order[:-1], order[1:]
-    starts = np.ones(len(a), dtype=bool)   # key b starts with key a
-    for j in range(width):
-        head = _HEAD[np.clip(lengths[a] - 64 * j, 0, 64)]
-        starts &= (words[b, j] & head) == words[a, j]
-    same = starts & (lengths[a] == lengths[b])
-    if same.any():
-        i = int(b[same].min())
-        first = np.flatnonzero((lengths == lengths[i])
-                               & (words == words[i]).all(axis=1))[0]
-        line = (text.split("\n") if lines is None else lines)[rows[i]]
-        raise DuplicateKeyError(
-            f"duplicate key {line.strip()!r} (same bits as line "
-            f"{rows[first] + 1})", int(rows[i]) + 1)
-    if error is not None:
-        raise error
-    if starts.any():
-        raise _nested_key_error(lengths, words, rows)
-    return lengths, words
+    return lengths, words, rows, error
 
 
 def _utf8(text: str) -> np.ndarray:
@@ -618,15 +660,25 @@ def _bulk_lines(data: np.ndarray) -> tuple:
     return settled, cidr, addr, plen, groups
 
 
-def _nested_key_error(lengths: np.ndarray, words: np.ndarray,
-                      rows: np.ndarray) -> NestedKeyError:
-    """The error for the first key in file order that extends another key,
-    naming the shortest key it extends."""
+def _key_error(lengths: np.ndarray, words: np.ndarray, rows: np.ndarray,
+               error: KeyFileError | None, lines: Sequence[str]) -> KeyFileError:
+    """The first fault of a key file, as KeySet.from_lines states it, from
+    _parse_text's keys and error, in one pass in file order."""
+    if error is not None:   # only the keys above the malformed line count
+        rows = rows[rows < error.line_no - 1]
     width = words.shape[1]
     packed = words.astype(">u8")
-    seen = {(length, int.from_bytes(packed[i].tobytes(), "big")
-             >> (64 * width - length)): int(rows[i]) + 1
-            for i, length in enumerate(lengths.tolist())}
+    seen = {}
+    for i, (length, row) in enumerate(zip(lengths.tolist(), rows.tolist())):
+        key = (length, int.from_bytes(packed[i].tobytes(), "big")
+               >> (64 * width - length))
+        first = seen.setdefault(key, row + 1)
+        if first != row + 1:
+            return DuplicateKeyError(
+                f"duplicate key {lines[row].strip()!r} (same bits as line "
+                f"{first})", row + 1)
+    if error is not None:
+        return error
     sizes = sorted({length for length, _ in seen})
     for (length, value), line_no in seen.items():
         for k in sizes[:sizes.index(length)]:   # the shortest first
@@ -634,7 +686,7 @@ def _nested_key_error(lengths: np.ndarray, words: np.ndarray,
             if first is not None:
                 return NestedKeyError(
                     f"key extends the {k}-bit key on line {first}", line_no)
-    raise AssertionError("no key extends another")
+    raise AssertionError("no key repeats or extends another")
 
 
 def _decimal(text: str) -> int | None:

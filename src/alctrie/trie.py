@@ -5,24 +5,24 @@ keys is a filled (internal) node; a key sits in an external node at the depth
 of its shortest prefix not shared with any other key.
 
 No trie is built.  Every quantity is read off the keys in sorted order plus
-the longest common prefix (LCP) of each adjacent pair (`_sorted_lcp`): one
-counter (`_level_counts`) reads profiles off the LCPs, and every subtrie is
-a contiguous range of the order.  The alpha-fillup level of m keys is decided
-by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup of
-random keys reads only that many bits of each key, and first a shallower
+the longest common prefix (LCP) of each adjacent pair (`source._sorted_lcp`):
+one counter (`_level_counts`) reads profiles off the LCPs, and every subtrie
+is a contiguous range of the order.  The alpha-fillup level of m keys is
+decided by levels 0 .. floor(log2(m/alpha)) (`_fillup_bound`), so the fillup
+of random keys reads only that many bits of each key, and first a shallower
 read near their expected fillup level (`_first_read`), going on to the bound
 only if no level so far falls below alpha.  A group whose bound fits one
 64-bit word is counted from the codes its bits read spell (`_code_counts`):
 from a histogram halved level by level where it has at most 4 bins per key,
 else from the sorted codes' LCPs; finite keys read straight to the bound.
 Groups whose bound passes 64 bits are sorted whole by `_sorted_lcp`.  A
-whole key set is sorted once (`_sorted_view`): its profile and every
-compression of it read the same read-only order, LCPs and codes.
+whole key set is sorted once, into its read-only sorted view
+(`source._sorted_view`; the loader's for a key file, the first use's for a
+random set), which its profile and every compression of it read.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import ModelParams, predict_level_calibrated
-from .source import IndistinguishableKeysError, KeySet
+from .source import (
+    IndistinguishableKeysError,
+    KeySet,
+    _adjacent_lcp,
+    _sorted_lcp,
+    _sorted_view,
+)
 
 __all__ = [
     "LevelProfile",
@@ -103,66 +109,6 @@ def _codes(keys: KeySet, ids: np.ndarray, start: int, width: int) -> np.ndarray:
     """Bits start .. start+width-1 (width <= 64) of each key, right-aligned:
     the integer they spell."""
     return keys.word(ids, start, width) >> np.uint64(64 - width)
-
-
-def _adjacent_lcp(ordered: np.ndarray) -> np.ndarray:
-    """Leading bits each 64-bit code shares with the next: 64 less the bit
-    length of their XOR x.  x & ~(x >> 1) keeps x's top bit and no two
-    adjacent ones, so float64 rounding cannot carry it to the next power of
-    two, and the exponent frexp reads off it is exact."""
-    x = ordered[1:] ^ ordered[:-1]
-    x &= ~(x >> np.uint64(1))
-    x = x.astype(np.float64)
-    return 64 - np.frexp(x)[1].astype(np.int64)
-
-
-def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
-    """The keys `ids` (default all) sorted by their bits from `base` on, with
-    the longest common prefix of each adjacent pair: (order, lcp, codes).
-
-    lcp[i] is the LCP of sorted keys i and i+1, counted from `base`; codes[i]
-    packs bits base .. base+63 of key order[i], MSB first, 0 past a finite
-    key's end.  Only runs tied on every word so far read their next 64 bits,
-    up to the longest finite key's end: in a prefix-free set, which the
-    loader guarantees, zero padding neither ties two keys nor lengthens an LCP.
-    """
-    if ids is None:
-        ids = np.arange(len(keys), dtype=np.int64)
-    codes = keys.word(ids, base)
-    order = np.argsort(codes)
-    codes, order = codes[order], ids[order]
-    lcp = _adjacent_lcp(codes)
-    end = None if keys.is_random else int(keys._lengths.max(initial=0)) - base
-    width = 64
-    tied = np.flatnonzero(lcp == width)
-    while len(tied) and (end is None or width < end):
-        # the rows of the tied runs, re-sorted within each run by their next word
-        rows = np.union1d(tied, tied + 1)
-        follows = np.isin(rows, tied + 1)
-        word = keys.word(order[rows], base + width)
-        perm = np.lexsort((word, np.cumsum(~follows)))
-        order[rows] = order[rows][perm]
-        lcp[tied] = width + _adjacent_lcp(word[perm])[follows[1:]]
-        width += 64
-        tied = np.flatnonzero(lcp == width)
-    return order, lcp, codes
-
-
-# each key set's sorted view, kept for the set's life without touching it
-_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _sorted_view(keys: KeySet):
-    """_sorted_lcp(keys) for the whole set, computed once per key set and
-    read-only: every profile and compression of the set shares it.  Two
-    threads meeting an unsorted set may both sort it, to equal views."""
-    view = _VIEWS.get(keys)
-    if view is None:
-        view = _sorted_lcp(keys)
-        for a in view:
-            a.flags.writeable = False
-        _VIEWS[keys] = view
-    return view
 
 
 def _level_counts(lcp: np.ndarray, top: int,

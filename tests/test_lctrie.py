@@ -31,6 +31,7 @@ from alctrie.source import (
     load_keys,
     trial_seed,
 )
+import alctrie.source
 from alctrie import trie
 from alctrie.trie import (
     DEFAULT_DEPTH_CAP,
@@ -870,7 +871,8 @@ def test_unary_chain_matches_pinned_arrays():
 @pytest.mark.parametrize("source", ["skewed", "cidr"])
 def test_key_set_is_sorted_once_for_its_profile_and_compressions(source, tmp_path):
     # a profile and compressions at two alphas share one sorted view of the
-    # set; each equals its value on a fresh set, and the view is read-only
+    # set: the loader's for a key file, the first use's for a random set;
+    # each equals its value on a fresh set, and the view is read-only
     if source == "skewed":   # keys sharing more than 64 bits
         def make():
             return generate_keys(SourceParams(0.9, 2024), 4096)
@@ -882,16 +884,19 @@ def test_key_set_is_sorted_once_for_its_profile_and_compressions(source, tmp_pat
 
         def make():
             return load_keys(path)
-    keys, whole, sort = make(), [], trie._sorted_lcp
+    whole, sort = [], alctrie.source._sorted_lcp
 
     def counting(keys, ids=None, base=0):
         if ids is None:
             whole.append(keys)
         return sort(keys, ids, base)
-    with mock.patch.object(trie, "_sorted_lcp", counting):
+    with mock.patch.object(alctrie.source, "_sorted_lcp", counting):
+        keys = make()
+        loaded = list(whole)
         profile = tabulate_profile(keys)
         tries = [compress(keys, alpha) for alpha in (1.0, 0.5)]
     assert whole == [keys]
+    assert loaded == ([] if source == "skewed" else [keys])
     assert profile.counts.tolist() == tabulate_profile(make()).counts.tolist()
     assert [arrays_digest(alc) for alc in tries] == \
         [arrays_digest(compress(make(), alpha)) for alpha in (1.0, 0.5)]

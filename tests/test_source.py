@@ -213,6 +213,11 @@ def _key_files(draw):
                        st.integers(33, 200))
     pool = draw(st.lists(length.flatmap(
         lambda k: st.tuples(*[st.integers(0, 1)] * k)), min_size=1, max_size=6))
+    # about a third of the entries another entry plus trailing zeros: keys
+    # tied on their zero-padded bits, which sort in any order
+    for i in range(len(pool)):
+        if draw(st.integers(0, 2)) == 0:
+            pool[i] = draw(st.sampled_from(pool)) + (0,) * draw(st.integers(1, 70))
     lines = []
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(
@@ -243,6 +248,36 @@ def _key_files(draw):
 @given(lines=_key_files())
 def test_loader_matches_reference_tuple_loader(lines):
     _assert_loads_as(lambda: KeySet.from_lines(lines), lines)
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a duplicate between nested keys with the same zero-padded bits
+    (["0", "00", "0"], "line 3: duplicate key '0' (same bits as line 1)"),
+    (["10.0.0.0/8", "10.0.0.0/16", "00001010"],
+     "line 3: duplicate key '00001010' (same bits as line 1)"),
+    # ... with a malformed line before the duplicate, and after it
+    (["0", "00", "hello", "0"],
+     "line 3: expected 0/1 characters or CIDR, got 'hello'"),
+    (["0", "00", "0", "hello"], "line 3: duplicate key '0' (same bits as line 1)"),
+    (["10.0.0.0/8", "10.0.0.0/16", "1.2.3.4/33", "00001010"],
+     "line 3: prefix length 33 outside 0..32"),
+    (["10.0.0.0/8", "10.0.0.0/16", "00001010", "1.2.3.4/33"],
+     "line 3: duplicate key '00001010' (same bits as line 1)"),
+    # a nested pair, the longer key first in file order
+    (["00", "0"], "line 1: key extends the 1-bit key on line 2"),
+    (["10.0.0.0/16", "1", "10.0.0.0/8"], "line 1: key extends the 8-bit key on line 3"),
+    (["0000101000000000", "10.0.0.0/8"], "line 1: key extends the 8-bit key on line 2"),
+])
+def test_faults_among_keys_tied_on_their_padded_bits(tmp_path, lines, message):
+    # keys equal on their zero-padded bits sort in any order, so the check
+    # on the sorted view must hold for either key of a pair first
+    path = tmp_path / "keys.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for load in (lambda: KeySet.from_lines(lines), lambda: load_keys(path)):
+        _assert_loads_as(load, lines)
+        with pytest.raises(KeyFileError) as err:
+            load()
+        assert str(err.value) == message
 
 
 def _assert_loads_as(load, lines, parse=_ref_parse):
@@ -759,6 +794,10 @@ def test_negative_bit_index_or_width_rejected(keys):
             keys.word(np.array([0]), start, width)
     with pytest.raises(ValueError, match="must be non-negative"):
         keys.word(np.array([0, 1]), np.array([3, -1]), 2)
+    for width in (65, 100):   # bit_block takes such widths, a word does not
+        with pytest.raises(ValueError,
+                           match=fr"^a word holds at most 64 bits, got width {width}$"):
+            keys.word(np.array([0]), 0, width)
     with pytest.raises(ValueError, match="must be non-negative"):
         keys[0].bit(-1)
     with pytest.raises(ValueError, match="must be non-negative"):
