@@ -159,11 +159,12 @@ class KeySet:
 
     Random sets are unbounded in depth; finite sets carry explicit lengths
     and their bits, MSB first in zero-padded 64-bit words, one row per key.
-    Instances are immutable and safe for concurrent reads: random bits are
-    recomputed from (seed, key id, bit index) rather than cached, so there is
-    no mutable state to race on.  Their sorted view (`_sorted_view`) is a
-    private read-only value, computed by the loader for a key file and on
-    first use for a random set.
+    Instances are safe for concurrent reads: random bits are recomputed from
+    (seed, key id, bit index) rather than cached.  Their one mutable field is
+    the sorted view (`_sorted_view`), a private write-once cache of read-only
+    arrays, set by the loader for a key file and on first use for a random
+    set; two threads that both fill it write equal views, so the race is
+    benign.
     """
 
     def __init__(self, *, params: SourceParams | None, n: int,
@@ -420,8 +421,10 @@ def _sorted_lcp(keys: KeySet, ids: np.ndarray | None = None, base: int = 0):
     lcp[i] is the LCP of sorted keys i and i+1, counted from `base`; codes[i]
     packs bits base .. base+63 of key order[i], MSB first, 0 past a finite
     key's end.  Only runs tied on every word so far read their next 64 bits,
-    up to the longest finite key's end: in a prefix-free set, which the
-    loader guarantees, zero padding neither ties two keys nor lengthens an LCP.
+    up to the longest finite key's end: in a prefix-free set zero padding
+    neither ties two keys nor lengthens an LCP.  In a set that is not
+    prefix-free, which the loader checks on this view, runs still tied at the
+    longest key's end stop there, so their LCP reaches every key's length.
     """
     if ids is None:
         ids = np.arange(len(keys), dtype=np.int64)

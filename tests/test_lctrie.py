@@ -509,7 +509,9 @@ def test_fill_fraction_counts_match_sorted_lcp(p, n):
     for top in (0, 1, fits - 1, fits, fits + 1, 40, 64, 70):
         want = _level_counts(lcp, top).tolist()
         with mock.patch.object(trie, "_sorted_lcp",
-                               _no_sort if top <= 64 else trie._sorted_lcp):
+                               _no_sort if top <= 64 else trie._sorted_lcp), \
+             mock.patch.object(alctrie.source, "_sorted_lcp",
+                               _no_sort if top <= 64 else alctrie.source._sorted_lcp):
             assert trie._random_level_counts(keys, top).tolist() == want
 
 
