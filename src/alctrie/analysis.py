@@ -10,7 +10,9 @@ a pure function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,13 +106,19 @@ def prob_poisson_ge2(mu: float) -> float:
     """P(Poisson(mu) >= 2) = 1 - (1 + mu) e^-mu, stable near zero."""
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    if mu == 0.0:
-        return 0.0
-    if mu < 1e-4:
-        # 1 - (1+mu)e^-mu = e^-mu * (mu^2/2 + mu^3/6 + mu^4/24 + mu^5/120)
-        series = 0.5 * mu * mu * (1.0 + mu / 3.0 + mu * mu / 12.0 + mu**3 / 60.0)
-        return math.exp(-mu) * series
-    return -math.expm1(-mu) - mu * math.exp(-mu)
+    return _poisson_ge2_cells([mu])[0]
+
+
+def _poisson_ge2_cells(mus: list[float]) -> list[float]:
+    """P(Poisson(mu) >= 2) for each mu >= 0.  Below mu = 1e-4 the direct form
+    cancels, and 1 - (1+mu)e^-mu is taken as e^-mu (mu^2/2 + mu^3/6 + mu^4/24
+    + mu^5/120)."""
+    exp, expm1 = math.exp, math.expm1
+    return [0.0 if mu == 0.0
+            else exp(-mu) * (0.5 * mu * mu * (1.0 + mu / 3.0 + mu * mu / 12.0 + mu**3 / 60.0))
+            if mu < 1e-4
+            else -expm1(-mu) - mu * exp(-mu)
+            for mu in mus]
 
 
 def prob_binomial_ge2(n: int, q: float) -> float:
@@ -123,39 +131,50 @@ def prob_binomial_ge2(n: int, q: float) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    if _takes_series(n, q):
-        return _binomial_ge2_series(n, [q])[0]
-    if n < 2 or q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
-    log1mq = math.log1p(-q)
-    none_hit = math.exp(n * log1mq)
-    one_hit = math.exp(math.log(n) + math.log(q) + (n - 1) * log1mq)
-    return 1.0 - none_hit - one_hit
+    return _binomial_ge2_cells(n, [q])[0]
 
 
-def _takes_series(n: int, q: float) -> bool:
-    """Whether prob_binomial_ge2(n, q) takes the short series: n q < 1e-3."""
-    return n >= 2 and 0.0 < q < 1.0 and n * q < 1e-3
+def _binomial_ge2_cells(n: int, qs: list[float]) -> list[float]:
+    """P(Binomial(n, q) >= 2) for each q in [0, 1]: the short series where
+    0 < n q < 1e-3, the direct form 1 - (1-q)^n - n q (1-q)^(n-1) elsewhere."""
+    if n < 2:
+        return [0.0] * len(qs)
+    exp, log, log1p = math.exp, math.log, math.log1p
+    n_f, n1_f, log_n = float(n), float(n - 1), math.log(n)
+    # 0 < q and n q < 1e-3 imply q < 1: those cells take the short series
+    small = [q for q in qs if 0.0 < q and n_f * q < 1e-3]
+    series = iter(_binomial_ge2_series(n, small) if small else ())
+    return [q if q == 0.0 or q == 1.0
+            else next(series) if n_f * q < 1e-3
+            else 1.0 - exp(n_f * (log1mq := log1p(-q))) - exp(log_n + log(q) + n1_f * log1mq)
+            for q in qs]
+
+
+@lru_cache(maxsize=64)
+def _series_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The short series' constants for n: its terms i = 2..min(n, 8), log C(n, i)
+    and n - i, each a float array.  Kept for the last 64 n."""
+    terms = range(2, min(n, 8) + 1)
+    log_c = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in terms]
+    rest = [float(n - i) for i in terms]   # n - i overflows int64 past 2^63
+    return np.array(terms, dtype=np.float64), np.array(log_c), np.array(rest)
 
 
 def _binomial_ge2_series(n: int, qs: list[float]) -> list[float]:
     """P(Binomial(n, q) >= 2) for each q in qs, where 0 < n q < 1e-3: the sum
     of C(n, i) q^i (1-q)^(n-i) over i = 2..min(n, 8), formed in log space.
 
-    The exponents of all the cells are one array, made by numpy's exactly
-    rounded + and * in the order the scalar expression uses (no fused
-    multiply-add); math.exp and math.fsum, exact in any order, finish each.
+    The exponents of all the cells are one matrix, a row per cell, made by
+    numpy's exactly rounded + and * in the order the scalar expression uses
+    (no fused multiply-add); math.exp and math.fsum, exact in any order,
+    finish each row.
     """
-    terms = range(2, min(n, 8) + 1)
-    log_c = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                      for i in terms])
-    rest = np.array([float(n - i) for i in terms])   # n - i overflows int64 past 2^63
-    logq = np.array([math.log(q) for q in qs])[:, None]
+    terms, log_c, rest = _series_constants(n)
+    logq = np.array(list(map(math.log, qs)))[:, None]
     log1mq = np.array([math.log1p(-q) for q in qs])[:, None]
-    args = log_c + np.array(terms, dtype=np.float64) * logq + rest * log1mq
-    return [math.fsum(map(math.exp, row)) for row in args.tolist()]
+    args = log_c + terms * logq + rest * log1mq
+    exps = map(math.exp, args.ravel().tolist())
+    return list(map(math.fsum, zip(*[exps] * len(log_c))))
 
 
 def prefix_poisson_mean(lam: float, k: int, j: int, p: float) -> float:
@@ -166,34 +185,48 @@ def prefix_poisson_mean(lam: float, k: int, j: int, p: float) -> float:
     return math.exp(math.log(lam) + j * math.log(p) + (k - j) * math.log(q))
 
 
+_TABLED_LEVELS = 128
+_LEVEL_WEIGHTS: dict[int, list[float]] = {}
+
+
+def _level_weights(k: int) -> list[float]:
+    """The weights C(k, j) 2^-k of level k's cells, j = 0..k, from log-gamma.
+    They do not depend on the model.  Levels below _TABLED_LEVELS are kept
+    in _LEVEL_WEIGHTS once formed, at most 128 * 129 / 2 = 8,256 floats;
+    deeper levels are formed on each call."""
+    weights = _LEVEL_WEIGHTS.get(k)
+    if weights is None:
+        lg = list(map(math.lgamma, range(1, k + 2)))   # lg[j] = lgamma(j + 1)
+        weights = [math.exp(lg[k] - lg[j] - lg[k - j] - k * _LN2) for j in range(k + 1)]
+        if k < _TABLED_LEVELS:
+            _LEVEL_WEIGHTS[k] = weights
+    return weights
+
+
 def expected_fill_fraction(params: ModelParams, k: int) -> float:
     """Expected fraction of filled nodes at level k.
 
     Poisson model: 2^-k * sum_j C(k,j) P(Poisson(lam p^j q^(k-j)) >= 2).
     Fixed-n model: the same sum with P(Binomial(n, p^j q^(k-j)) >= 2).
 
-    lgamma(j+1) is tabulated once per call for every weight C(k,j), and the
-    cells that take the short binomial series go through it together.  Each
-    term is the float prob_binomial_ge2 would give, and math.fsum is exact.
+    The weights come from _level_weights' table, and a level's cells are
+    evaluated in one pass, the ones that take the short binomial series
+    together.  Each term is the float prob_binomial_ge2 (or prob_poisson_ge2)
+    would give, and math.fsum is exact.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    exp = math.exp
     logp = math.log(params.p)
     logq = math.log(params.q)
-    lg = list(map(math.lgamma, range(1, k + 2)))   # lg[j] = lgamma(j + 1)
-    weights = [math.exp(lg[k] - lg[j] - lg[k - j] - k * _LN2) for j in range(k + 1)]
     if params.is_poisson:
         loglam = math.log(params.lam)
-        probs = [prob_poisson_ge2(math.exp(loglam + j * logp + (k - j) * logq))
-                 for j in range(k + 1)]
+        probs = _poisson_ge2_cells([exp(loglam + j * logp + (k - j) * logq)
+                                    for j in range(k + 1)])
     else:
-        n = params.n
-        cells = [math.exp(j * logp + (k - j) * logq) for j in range(k + 1)]
-        small = [j for j, c in enumerate(cells) if _takes_series(n, c)]
-        series = dict(zip(small, _binomial_ge2_series(n, [cells[j] for j in small])))
-        probs = [series[j] if j in series else prob_binomial_ge2(n, c)
-                 for j, c in enumerate(cells)]
-    return math.fsum(w * prob for w, prob in zip(weights, probs))
+        probs = _binomial_ge2_cells(params.n, [exp(j * logp + (k - j) * logq)
+                                               for j in range(k + 1)])
+    return math.fsum(map(operator.mul, _level_weights(k), probs))
 
 
 def threshold_ones_count(k: int, lam: float, p: float) -> float:
