@@ -150,12 +150,25 @@ def _binomial_ge2_cells(n: int, qs: list[float]) -> list[float]:
             for q in qs]
 
 
+# log C(n, i) = lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1) cancels as n grows:
+# its error is about n ln n times the float epsilon.  Past 2^20, where that
+# passes 1e-9, the series takes log C(n, i) = i log n + sum_{j<i} log1p(-j/n)
+# - lgamma(i+1), which does not cancel.  No output pinned at n <= 2^20 moves.
+_LGAMMA_SERIES_MAX_N = 2**20
+
+
 @lru_cache(maxsize=64)
 def _series_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The short series' constants for n: its terms i = 2..min(n, 8), log C(n, i)
     and n - i, each a float array.  Kept for the last 64 n."""
     terms = range(2, min(n, 8) + 1)
-    log_c = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in terms]
+    if n > _LGAMMA_SERIES_MAX_N:
+        log_n = math.log(n)
+        log_c = [i * log_n + sum(math.log1p(-j / n) for j in range(1, i)) - math.lgamma(i + 1)
+                 for i in terms]
+    else:
+        log_c = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                 for i in terms]
     rest = [float(n - i) for i in terms]   # n - i overflows int64 past 2^63
     return np.array(terms, dtype=np.float64), np.array(log_c), np.array(rest)
 

@@ -100,8 +100,12 @@ def ref_fillup_level(suffixes: list[tuple], alpha: float) -> int:
 
 @lru_cache(maxsize=None)
 def _ref_log_binom(n: int, i: int) -> float:
-    """log C(n, i) from three lgamma calls, kept across calls only to make
-    the grids that read it cheaper."""
+    """log C(n, i) from three lgamma calls up to n = 2^20; past it, where
+    lgamma(n+1) - lgamma(n-i+1) cancels, as i log n + sum_{j<i} log1p(-j/n)
+    - lgamma(i+1).  Kept across calls only to make the grids that read it
+    cheaper."""
+    if n > 2**20:
+        return i * math.log(n) + sum(math.log1p(-j / n) for j in range(1, i)) - math.lgamma(i + 1)
     return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
 
 

@@ -193,19 +193,22 @@ def mp_expected_fill_fraction(params, k):
 @pytest.mark.parametrize("poisson", [False, True])
 def test_expected_fill_fraction_matches_high_precision(poisson):
     # relative error at most 1e-9 for sizes up to 2^20, at nine levels from 0
-    # to 4 log2 n.  The grid's worst is 2.2e-10 (fixed n = 2^20, k = 30); the
-    # fixed-n error grows about as n ln n times the float epsilon, and reads
-    # 1.4e-5 at n = 2^32 (see README)
+    # to 4 log2 n, and for fixed n = 2^32, 2^40 and 2^50, at five levels up to
+    # 4 log2 n, where log C(n, i) = lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1)
+    # would cancel to relative errors of 1e-6 and more (see README)
+    cases = [(p, n, [round(i * 4 * math.log2(n) / 8) for i in range(9)])
+             for p in (0.5, 0.7, 0.9) for n in (2, 10, 1000, 65536, 2**20)]
+    if not poisson:
+        cases += [(p, n, [round(i * 4 * math.log2(n) / 5) for i in range(1, 6)])
+                  for p in (0.7, 0.9) for n in (2**32, 2**40, 2**50)]
     worst = []
-    for p in (0.5, 0.7, 0.9):
-        for n in (2, 10, 1000, 65536, 2**20):
-            params = (ModelParams(p=p, alpha=0.5, lam=float(n)) if poisson
-                      else ModelParams(p=p, alpha=0.5, n=n))
-            top = 4 * math.log2(n)
-            for k in sorted({round(i * top / 8) for i in range(9)}):
-                want = mp_expected_fill_fraction(params, k)
-                error = abs(expected_fill_fraction(params, k) - want) / want
-                worst.append((float(error), p, n, k))
+    for p, n, levels in cases:
+        params = (ModelParams(p=p, alpha=0.5, lam=float(n)) if poisson
+                  else ModelParams(p=p, alpha=0.5, n=n))
+        for k in sorted(set(levels)):
+            want = mp_expected_fill_fraction(params, k)
+            error = abs(expected_fill_fraction(params, k) - want) / want
+            worst.append((float(error), p, n, k))
     assert max(worst)[0] <= 1e-9, max(worst)
 
 
