@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from alctrie import analysis
 from alctrie.analysis import (
     ModelParams,
     binomial_tail_normal_approx,
@@ -22,6 +24,8 @@ from alctrie.analysis import (
     source_constants,
     threshold_ones_count,
 )
+
+from alctrie.trie import _fillup_bound
 
 from conftest import ref_expected_fill_fraction, ref_prob_binomial_ge2
 
@@ -153,7 +157,7 @@ def test_expected_fill_fraction_p_q_symmetry(p):
 
 # the expectations must equal the term-by-term reference exactly, not merely
 # closely: every figure built on them is pinned to the bit
-EXACT_N = [0, 1, 2, 3, 8, 9, 100, 4096, 65536, 10**6, 2**40, 2**53 + 1, 2**63, 2**70]
+EXACT_N = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 4096, 65536, 10**6, 2**40, 2**53 + 1, 2**63, 2**70]
 EXACT_LAM = [0.5, 3.0, 1024.0, 65536.0, 1e9]
 EXACT_K = [*range(80), 200, 1000]
 
@@ -163,6 +167,21 @@ def test_expected_fill_fraction_equals_term_by_term_reference(p):
     models = ([ModelParams(p=p, alpha=0.5, n=n) for n in EXACT_N]
               + [ModelParams(p=p, alpha=0.5, lam=lam) for lam in EXACT_LAM])
     wrong = [(params.size, k) for params in models for k in EXACT_K
+             if expected_fill_fraction(params, k) != ref_expected_fill_fraction(params, k)]
+    assert wrong == []
+
+
+def test_expected_fill_fraction_tables_hold_no_stale_rows():
+    # the level weights and the per-n series constants are kept across calls:
+    # from empty tables, the grid's (model, k) pairs in a shuffled order,
+    # models interleaved, must still each give the reference's float
+    models = ([ModelParams(p=p, alpha=0.5, n=n) for p in (0.3, 0.7) for n in EXACT_N]
+              + [ModelParams(p=p, alpha=0.5, lam=lam) for p in (0.3, 0.7) for lam in EXACT_LAM])
+    pairs = [(params, k) for params in models for k in EXACT_K]
+    random.Random(30).shuffle(pairs)
+    analysis._LEVEL_WEIGHTS.clear()
+    analysis._series_constants.cache_clear()
+    wrong = [(params, k) for params, k in pairs
              if expected_fill_fraction(params, k) != ref_expected_fill_fraction(params, k)]
     assert wrong == []
 
@@ -193,9 +212,10 @@ def mp_expected_fill_fraction(params, k):
 @pytest.mark.parametrize("poisson", [False, True])
 def test_expected_fill_fraction_matches_high_precision(poisson):
     # relative error at most 1e-9 for sizes up to 2^20, at nine levels from 0
-    # to 4 log2 n, and for fixed n = 2^32, 2^40 and 2^50, at five levels up to
-    # 4 log2 n, where log C(n, i) = lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1)
-    # would cancel to relative errors of 1e-6 and more (see README)
+    # to 4 log2 n (worst 2.2e-10, fixed n = 2^20, k = 30), and for fixed
+    # n = 2^32, 2^40 and 2^50 at five levels up to 4 log2 n (worst 3.2e-12),
+    # where forming log C(n, i) from lgamma(n+1) - lgamma(n-i+1) would cancel
+    # to errors of 1.4e-5 at 2^32 and about 28x at 2^50 (see README)
     cases = [(p, n, [round(i * 4 * math.log2(n) / 8) for i in range(9)])
              for p in (0.5, 0.7, 0.9) for n in (2, 10, 1000, 65536, 2**20)]
     if not poisson:
@@ -440,6 +460,40 @@ def test_calibrated_within_three_of_closed_form():
             cal = predict_level_calibrated(ModelParams(p=0.7, alpha=alpha, n=n))
             closed = predict_level_closed_form(n, alpha, 0.7)
             assert abs(cal - closed) <= 3.0
+
+
+def ref_calibrated_level(params, cap):
+    """The last level whose reference expectation reaches alpha, by an upward
+    walk from level 0 that gives up past level cap."""
+    if ref_expected_fill_fraction(params, 0) < params.alpha:
+        return ValueError
+    for k in range(1, cap + 1):
+        if ref_expected_fill_fraction(params, k) < params.alpha:
+            return k - 1
+    return RuntimeError
+
+
+def test_calibrated_predictor_equals_an_upward_walk_over_the_reference():
+    # both models, and with the cap _first_read passes (_fillup_bound, which
+    # can stop the walk first) as well as the default 8 log2(size)
+    models = ([ModelParams(p=p, alpha=alpha, n=n) for n in (2, 3, 7, 100, 4096, 65536,
+                                                            3 * 2**20, 2**40)
+               for p in (0.1, 0.5, 0.7, 0.9) for alpha in (0.05, 0.25, 0.5, 0.75, 0.95)]
+              + [ModelParams(p=p, alpha=alpha, lam=lam) for lam in (2.5, 100.0, 65536.0, 1e6)
+                 for p in (0.1, 0.5, 0.7, 0.9) for alpha in (0.05, 0.25, 0.5, 0.75, 0.95)])
+    wrong = []
+    for params in models:
+        caps = [max(8, int(8 * math.log2(params.size)))]
+        if not params.is_poisson:
+            caps.append(_fillup_bound(params.n, params.alpha))
+        for cap in caps:
+            try:
+                got = predict_level_calibrated(params, cap=cap)
+            except (ValueError, RuntimeError) as exc:
+                got = type(exc)
+            if got != ref_calibrated_level(params, cap):
+                wrong.append((params, cap, got))
+    assert wrong == []
 
 
 def test_depth_constants():
