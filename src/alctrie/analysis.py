@@ -4,7 +4,8 @@ predictors, entropy-style constants, and search-depth growth constants.
 
 All probability products run in log space and binomial weights go through
 log-gamma, so levels k up to a few thousand stay finite.  Everything here is
-a pure function.
+a pure function; the level weights and the short series' per-n constants
+are kept in bounded tables across calls, which changes no value.
 """
 
 from __future__ import annotations
@@ -150,10 +151,11 @@ def _binomial_ge2_cells(n: int, qs: list[float]) -> list[float]:
             for q in qs]
 
 
-# log C(n, i) = lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1) cancels as n grows:
-# its error is about n ln n times the float epsilon.  Past 2^20, where that
-# passes 1e-9, the series takes log C(n, i) = i log n + sum_{j<i} log1p(-j/n)
-# - lgamma(i+1), which does not cancel.  No output pinned at n <= 2^20 moves.
+# log C(n, i) as lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1) cancels as n grows,
+# its error about n ln n times the float epsilon.  Past 2^20, where that
+# passes 1e-9, the series takes i log n + sum_{j<i} log1p(-j/n) - lgamma(i+1),
+# which does not cancel; up to 2^20 it keeps the lgamma form, whose bits the
+# pinned outputs record.
 _LGAMMA_SERIES_MAX_N = 2**20
 
 

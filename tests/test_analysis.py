@@ -24,7 +24,6 @@ from alctrie.analysis import (
     source_constants,
     threshold_ones_count,
 )
-
 from alctrie.trie import _fillup_bound
 
 from conftest import ref_expected_fill_fraction, ref_prob_binomial_ge2
@@ -474,8 +473,8 @@ def ref_calibrated_level(params, cap):
 
 
 def test_calibrated_predictor_equals_an_upward_walk_over_the_reference():
-    # both models, and with the cap _first_read passes (_fillup_bound, which
-    # can stop the walk first) as well as the default 8 log2(size)
+    # both models with the default cap, 8 log2(size), and fixed n also with
+    # the cap _first_read passes, _fillup_bound
     models = ([ModelParams(p=p, alpha=alpha, n=n) for n in (2, 3, 7, 100, 4096, 65536,
                                                             3 * 2**20, 2**40)
                for p in (0.1, 0.5, 0.7, 0.9) for alpha in (0.05, 0.25, 0.5, 0.75, 0.95)]
